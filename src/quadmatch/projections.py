@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from . import autodiff as ad
 from .errors import InvalidInputError
@@ -57,26 +59,27 @@ def sinkhorn(m, max_iter: int = SINKHORN_MAX_ITER, tol: float = SINKHORN_TOL, *,
         iterations = i + 1
         if tol > 0.0:
             lv = ad.value(log_x)
-            row_dev = np.abs(np.exp(_lse(lv, axis=1)) - 1.0).max()
-            col_dev = np.abs(np.exp(_lse(lv, axis=0)) - 1.0).max()
+            row_dev = np.abs(np.exp(ad.logsumexp(lv, axis=1)) - 1.0).max()
+            col_dev = np.abs(np.exp(ad.logsumexp(lv, axis=0)) - 1.0).max()
             if max(row_dev, col_dev) < tol:
                 converged = True
                 break
     return SinkhornResult(ad.exp(log_x), converged, iterations)
 
 
-def _lse(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)), axis=axis)
-
-
 def hungarian(score) -> np.ndarray:
     """Permutation matrix maximizing ``sum(score * X)``.
 
-    Ties between optimal assignments are broken toward the lexicographically
-    smallest permutation (row 0's column first, then row 1's, ...), which is
-    realized by fixing rows in order to the smallest column that still admits
-    an optimal completion. Not differentiable: rejects tape variables.
+    One assignment solve gives an optimum sigma. Every other permutation is
+    sigma rotated along cycles of the graph whose edge r -> q costs the value
+    lost when row r takes row q's column; a Floyd-Warshall pass over that
+    graph certifies sigma as the unique optimum when its shortest cycle
+    exceeds the tolerance. Otherwise ties are broken toward the
+    lexicographically smallest optimal permutation (row 0's column first,
+    then row 1's, ...): the shortest-path potentials mark the tight edges,
+    which carry every optimal permutation, and rows are fixed in order to the
+    smallest tight column that still admits a perfect matching on the tight
+    edges left. Not differentiable: rejects tape variables.
     """
     if isinstance(score, ad.Var):
         raise InvalidInputError("hungarian is not differentiable; pass a plain array")
@@ -87,28 +90,34 @@ def hungarian(score) -> np.ndarray:
         raise InvalidInputError("hungarian requires finite entries")
 
     n = s.shape[0]
-    best_value = _lap_value(s)
     tol = 1e-9 * max(1.0, float(np.abs(s).max()) * n)
+    _, cols = linear_sum_assignment(s, maximize=True)
 
-    perm = np.zeros((n, n), dtype=float)
-    cols = list(range(n))
-    prefix = 0.0
-    for i in range(n):
-        for pos, j in enumerate(cols):
-            rest_rows = s[i + 1:][:, [c for c in cols if c != j]]
-            rest = _lap_value(rest_rows) if rest_rows.size else 0.0
-            if prefix + s[i, j] + rest >= best_value - tol:
-                perm[i, j] = 1.0
-                prefix += s[i, j]
-                del cols[pos]
-                break
-        else:  # numeric safety net; the optimal column always qualifies
-            raise InvalidInputError("hungarian failed to certify an optimal completion")
-    return perm
-
-
-def _lap_value(s: np.ndarray) -> float:
-    if s.size == 0:
-        return 0.0
-    rows, cols = linear_sum_assignment(s, maximize=True)
-    return float(s[rows, cols].sum())
+    # loss[r, q]: value lost when row r takes row q's column; the solve is
+    # optimal, so no cycle is negative and shortest paths are well defined
+    loss = s[np.arange(n), cols][None, :] - s[:, cols]
+    d = loss.copy()
+    for k in range(n):
+        np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :], out=d)
+    cycle = d + d.T
+    np.fill_diagonal(cycle, np.inf)
+    if cycle.min() <= tol:
+        phi = d.min(axis=0)
+        tight = np.zeros((n, n), dtype=bool)
+        tight[:, cols] = loss + phi[:, None] - phi[None, :] <= tol
+        free = np.ones(n, dtype=bool)
+        # invariant: cols[i:] is a perfect matching of the unfixed rows onto
+        # the free columns using tight edges only
+        for i in range(n):
+            for j in np.flatnonzero(tight[i] & free):
+                if j == cols[i]:
+                    break
+                rest = np.flatnonzero(free)
+                rest = rest[rest != j]
+                match = maximum_bipartite_matching(
+                    csr_matrix(tight[i + 1:][:, rest]), perm_type="column")
+                if np.all(match >= 0):
+                    cols[i], cols[i + 1:] = j, rest[match]
+                    break
+            free[cols[i]] = False
+    return np.eye(n)[cols]

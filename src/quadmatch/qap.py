@@ -123,7 +123,7 @@ def fw_direction(x, inst: QapInstance, mode: str, *, tau: float = 1.0,
 
 
 def frank_wolfe_train(x0, inst: QapInstance, m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER, *,
-                      tau: float = 1.0, reset_inner_schedule: bool = True,
+                      tau: float = 1.0,
                       sinkhorn_max_iter: int = SINKHORN_MAX_ITER, sinkhorn_tol: float = 0.0):
     """Differentiable Frank-Wolfe: m1 rounds of m2 smooth pursuit steps.
 
@@ -140,8 +140,7 @@ def frank_wolfe_train(x0, inst: QapInstance, m1: int = FW_TRAIN_OUTER, m2: int =
     x = x0
     for outer in range(m1):
         for inner in range(m2):
-            k = inner if reset_inner_schedule else outer * m2 + inner
-            eps = fw_step_size(k)
+            eps = fw_step_size(inner)
             s = fw_direction(x, inst, "training", tau=tau,
                              sinkhorn_max_iter=sinkhorn_max_iter, sinkhorn_tol=sinkhorn_tol)
             x = x - eps * (x - s)
@@ -151,7 +150,7 @@ def frank_wolfe_train(x0, inst: QapInstance, m1: int = FW_TRAIN_OUTER, m2: int =
 
 
 def frank_wolfe_infer(x0, inst: QapInstance, m: int = FW_INFER_ROUNDS, tol: float = FW_INFER_TOL, *,
-                      max_inner: int = FW_INFER_MAX_INNER, reset_inner_schedule: bool = True):
+                      max_inner: int = FW_INFER_MAX_INNER):
     """Discrete Frank-Wolfe refinement returning a permutation matrix.
 
     Every round pursues Hungarian directions until the iterate stops moving,
@@ -172,8 +171,7 @@ def frank_wolfe_infer(x0, inst: QapInstance, m: int = FW_INFER_ROUNDS, tol: floa
     prev_rounded = None
     for outer in range(m):
         for inner in range(max_inner):
-            k = inner if reset_inner_schedule else outer * max_inner + inner
-            eps = fw_step_size(k)
+            eps = fw_step_size(inner)
             s = fw_direction(x, inst_v, "inference")
             x_next = x - eps * (x - s)
             delta = float(np.linalg.norm(x_next - x))

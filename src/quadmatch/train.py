@@ -89,7 +89,6 @@ class ForwardResult:
     assignment: object          # soft matching, ndarray or tape Var
     trace: SolveTrace
     instance: QapInstance       # the solved instance (weighted adjacencies + affinity)
-    affinity_shift: float
 
 
 def forward(pair: GraphPair, params: ParameterSet, *,
@@ -116,7 +115,7 @@ def forward(pair: GraphPair, params: ParameterSet, *,
     x0 = init_assignment(aff, max_iter=sinkhorn_max_iter, tol=0.0)
     x, trace = frank_wolfe_train(x0, inst, m1, m2, tau=tau,
                                  sinkhorn_max_iter=sinkhorn_max_iter, sinkhorn_tol=0.0)
-    return ForwardResult(x, trace, inst, aff.log_shift)
+    return ForwardResult(x, trace, inst)
 
 
 def _loss_fn(name: str):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import lexicographic_hungarian
 from quadmatch import autodiff as ad
+from quadmatch import projections
 from quadmatch.errors import InvalidInputError
 from quadmatch.projections import hungarian, sinkhorn
 
@@ -144,6 +146,39 @@ class TestHungarian:
         shifted[2, :] += 3.7
         shifted[:, 4] -= 1.9
         np.testing.assert_array_equal(hungarian(score), hungarian(shifted))
+
+    @given(n=st.integers(1, 9), seed=st.integers(0, 10_000))
+    def test_matches_oracle_small_integers(self, n, seed):
+        score = np.random.default_rng(seed).integers(0, 3, size=(n, n)).astype(float)
+        np.testing.assert_array_equal(hungarian(score), lexicographic_hungarian(score))
+
+    @given(n=st.integers(1, 9), k=st.integers(2, 3), equal_weights=st.booleans(),
+           seed=st.integers(0, 10_000))
+    def test_matches_oracle_permutation_mixtures(self, n, k, equal_weights, seed):
+        # the shape of Frank-Wolfe iterates; an exact 1/2-1/2 blend ties two vertices
+        rng = np.random.default_rng(seed)
+        weights = np.full(k, 1.0 / k) if equal_weights else rng.dirichlet(np.ones(k))
+        score = sum(w * np.eye(n)[rng.permutation(n)] for w in weights)
+        np.testing.assert_array_equal(hungarian(score), lexicographic_hungarian(score))
+
+    @given(n=st.integers(1, 9), seed=st.integers(0, 10_000))
+    def test_matches_oracle_gaussian(self, n, seed):
+        score = np.random.default_rng(seed).normal(size=(n, n))
+        np.testing.assert_array_equal(hungarian(score), lexicographic_hungarian(score))
+
+    def test_one_assignment_solve_per_call(self, monkeypatch, rng):
+        calls = []
+        lsa = projections.linear_sum_assignment
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lsa(*args, **kwargs)
+
+        monkeypatch.setattr(projections, "linear_sum_assignment", counted)
+        np.testing.assert_array_equal(hungarian(np.ones((12, 12))), np.eye(12))
+        assert len(calls) == 1
+        hungarian(rng.normal(size=(24, 24)))
+        assert len(calls) == 2
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInputError):
