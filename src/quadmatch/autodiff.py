@@ -5,9 +5,9 @@ one flat expression graph, so a small tape with closure-based backward passes
 is all that is needed. Every helper in this module accepts either a `Var` or
 a plain ndarray: when no `Var` is involved the computation falls through to
 numpy directly, which lets the solver code be written once and reused for
-inference, for training, and for the finite-difference oracle.
+both inference and training.
 
-Non-smooth primitives (`relu`, `amax`, `absolute`, `clip`) use the standard
+Non-smooth primitives (`relu`, `amax`, `clip`) use the standard
 almost-everywhere derivatives; ties in `amax` route the gradient to the first
 maximizer so results are deterministic.
 """
@@ -43,9 +43,6 @@ class Var:
     @property
     def T(self):
         return transpose(self)
-
-    def item(self) -> float:
-        return float(self.data)
 
     def backward(self, seed=None) -> None:
         """Accumulate d(self)/d(leaf) into ``grad`` over the whole graph."""
@@ -255,16 +252,6 @@ def sqrt(a):
         a.grad += g * 0.5 / out
 
     return Var(out, (a,), bw)
-
-
-def absolute(a):
-    if not isinstance(a, Var):
-        return np.abs(value(a))
-
-    def bw(g):
-        a.grad += g * np.sign(a.data)
-
-    return Var(np.abs(a.data), (a,), bw)
 
 
 def relu(a):

@@ -22,7 +22,8 @@ from .errors import InvalidInputError, NumericalFailureError
 from .graphs import Graph, GraphPair, assemble_attributes
 from .losses import accuracy, f1_score, matrix_to_permutation, permutation_to_matrix
 from .projections import hungarian
-from .qap import FW_INFER_ROUNDS, FW_INFER_TOL, SolveTrace, frank_wolfe_infer, objective
+from .qap import (FW_INFER_ROUNDS, FW_INFER_TOL, FW_TRAIN_INNER, FW_TRAIN_OUTER, SolveTrace,
+                  frank_wolfe_infer, objective)
 from .refine import ParameterSet
 from .synth import inject_outliers
 from .train import forward
@@ -92,21 +93,15 @@ def _strip_prior(pair: GraphPair) -> GraphPair:
 
 
 def match_pair(pair: GraphPair, params: ParameterSet, variant: str = "full", *,
-               m1: int | None = None, m2: int | None = None,
+               m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER,
                infer_rounds: int = FW_INFER_ROUNDS, infer_tol: float = FW_INFER_TOL) -> MatchResult:
     """Run one inference variant on one pair and score it against the truth."""
     if variant not in VARIANTS:
         raise InvalidInputError(f"variant must be one of {VARIANTS}")
     if variant == "no_prior":
         pair = _strip_prior(pair)
-    fw_kwargs = {}
-    if m1 is not None:
-        fw_kwargs["m1"] = m1
-    if m2 is not None:
-        fw_kwargs["m2"] = m2
-    if variant == "no_qc":
-        fw_kwargs["m1"] = 0
-    res = forward(pair, params, use_binary_adjacency=(variant == "no_pairwise"), **fw_kwargs)
+    res = forward(pair, params, m1=0 if variant == "no_qc" else m1, m2=m2,
+                  use_binary_adjacency=(variant == "no_pairwise"))
     x = ad.value(res.assignment)
     inst = res.instance.values()
     if variant == "no_qc":

@@ -38,8 +38,15 @@ def _load_config(path) -> dict:
     return obj
 
 
+def _section(cfg: dict, name: str) -> dict:
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise InvalidInputError(f"config section {name!r} must be a JSON object")
+    return dict(section)
+
+
 def _synth_config(cfg: dict, seed: int | None) -> SynthConfig:
-    section = dict(cfg.get("synth", {}))
+    section = _section(cfg, "synth")
     if seed is not None:
         section["seed"] = seed
     try:
@@ -49,7 +56,7 @@ def _synth_config(cfg: dict, seed: int | None) -> SynthConfig:
 
 
 def _train_config(cfg: dict, seed: int | None) -> TrainConfig:
-    section = dict(cfg.get("train", {}))
+    section = _section(cfg, "train")
     loss_keys = {k: section.pop(k) for k in ("alpha", "beta", "clip_eps") if k in section}
     if seed is not None:
         section["seed"] = seed
@@ -60,12 +67,18 @@ def _train_config(cfg: dict, seed: int | None) -> TrainConfig:
 
 
 def _solver_kwargs(cfg: dict) -> dict:
-    section = cfg.get("solver", {})
+    section = _section(cfg, "solver")
     allowed = {"m1", "m2", "infer_rounds", "infer_tol"}
     bad = set(section) - allowed
     if bad:
         raise InvalidInputError(f"unknown solver config keys: {sorted(bad)}")
-    return dict(section)
+    for key, val in section.items():
+        if key == "infer_tol":
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise InvalidInputError(f"solver {key} must be a number")
+        elif isinstance(val, bool) or not isinstance(val, int) or val < 0:
+            raise InvalidInputError(f"solver {key} must be a non-negative integer")
+    return section
 
 
 def _cmd_synth(args) -> None:

@@ -49,32 +49,19 @@ def false_matching_loss(x, x_star, cfg: LossConfig = LossConfig()):
     return ad.exp(cfg.alpha * s_plus) + ad.exp(cfg.beta * s_minus)
 
 
-def false_matching_loss_grad(x, x_star, cfg: LossConfig = LossConfig()) -> np.ndarray:
-    """Closed-form gradient of the false-matching loss in the prediction."""
-    xs = _check_shapes(x, x_star)
-    xv = ad.value(x)
-    s_plus = float(np.sum(xv * (1.0 - xs)))
-    s_minus = float(np.sum(xs * (1.0 - xv)))
-    return cfg.alpha * np.exp(cfg.alpha * s_plus) * (1.0 - xs) - cfg.beta * np.exp(cfg.beta * s_minus) * xs
-
-
 def cross_entropy_loss(x, x_star, cfg: LossConfig = LossConfig()):
     """Elementwise binary cross entropy against a 0/1 ground truth.
 
-    Predictions are clamped into [clip_eps, 1 - clip_eps] before the logs;
+    Predictions are clamped into [clip_eps, 1 - clip_eps] before the log;
     with clip_eps near the smallest double the clamp is vacuous in floating
-    point and the divergence of the unclamped loss is reproduced.
+    point and the divergence of the unclamped loss is reproduced. For 0/1
+    truth each entry takes the log of the probability given to its true
+    label only, so a perfect prediction scores 0 rather than 0 * log 0.
     """
     xs = _check_shapes(x, x_star)
-    if isinstance(x, ad.Var):
-        xt = ad.clip(x, cfg.clip_eps, 1.0 - cfg.clip_eps)
-        return -ad.asum(xs * ad.log(xt) + (1.0 - xs) * ad.log(1.0 - xt))
-    xt = np.clip(ad.value(x), cfg.clip_eps, 1.0 - cfg.clip_eps)
-    on = xs > 0.5
+    xt = ad.clip(x, cfg.clip_eps, 1.0 - cfg.clip_eps)
     with np.errstate(divide="ignore"):
-        pos = np.sum(np.log(xt[on])) if on.any() else 0.0
-        neg = np.sum(np.log1p(-xt[~on])) if (~on).any() else 0.0
-    return -(pos + neg)
+        return -ad.asum(ad.log(xs * xt + (1.0 - xs) * (1.0 - xt)))
 
 
 def accuracy(x_pred, x_star) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidInputError
-from .projections import SINKHORN_MAX_ITER, hungarian, sinkhorn
+from .projections import hungarian, sinkhorn
 
 FW_TRAIN_OUTER = 3
 FW_TRAIN_INNER = 5
@@ -102,15 +102,15 @@ def fw_step_size(k: int) -> float:
     return 2.0 / (k + 2)
 
 
-def fw_direction(x, inst: QapInstance, mode: str, *, tau: float = 1.0,
-                 sinkhorn_max_iter: int = SINKHORN_MAX_ITER, sinkhorn_tol: float = 0.0):
+def fw_direction(x, inst: QapInstance, mode: str, *, tau: float = 1.0):
     """Feasible descent target for the linearized objective.
 
     Inference takes the exact minimizer over permutations (Hungarian on the
     negated gradient); training takes a smooth surrogate, the Sinkhorn
-    projection of ``exp(-grad / tau)``. The benefit ``-grad`` is globally
-    shifted by its maximum before exponentiating, which cannot overflow and
-    leaves the Sinkhorn fixed point unchanged (a global scaling).
+    projection of ``exp(-grad / tau)`` at a fixed iteration count. The
+    benefit ``-grad`` is globally shifted by its maximum before
+    exponentiating, which cannot overflow and leaves the Sinkhorn fixed point
+    unchanged (a global scaling).
     """
     g = objective_gradient(x, inst)
     if mode == "inference":
@@ -119,12 +119,11 @@ def fw_direction(x, inst: QapInstance, mode: str, *, tau: float = 1.0,
         raise InvalidInputError(f"unknown direction mode: {mode!r}")
     benefit = -g
     log_dir = (benefit - ad.amax(benefit)) / tau
-    return sinkhorn(log_dir, max_iter=sinkhorn_max_iter, tol=sinkhorn_tol, log_input=True).matrix
+    return sinkhorn(log_dir, tol=0.0, log_input=True).matrix
 
 
 def frank_wolfe_train(x0, inst: QapInstance, m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER, *,
-                      tau: float = 1.0,
-                      sinkhorn_max_iter: int = SINKHORN_MAX_ITER, sinkhorn_tol: float = 0.0):
+                      tau: float = 1.0):
     """Differentiable Frank-Wolfe: m1 rounds of m2 smooth pursuit steps.
 
     Each inner step blends the iterate toward the soft direction with the
@@ -141,26 +140,27 @@ def frank_wolfe_train(x0, inst: QapInstance, m1: int = FW_TRAIN_OUTER, m2: int =
     for outer in range(m1):
         for inner in range(m2):
             eps = fw_step_size(inner)
-            s = fw_direction(x, inst, "training", tau=tau,
-                             sinkhorn_max_iter=sinkhorn_max_iter, sinkhorn_tol=sinkhorn_tol)
+            s = fw_direction(x, inst, "training", tau=tau)
             x = x - eps * (x - s)
             trace.steps.append(TraceStep(outer, inner, eps, float(objective(ad.value(x), inst_v))))
-        x = sinkhorn(x, max_iter=sinkhorn_max_iter, tol=sinkhorn_tol).matrix
+        x = sinkhorn(x, tol=0.0).matrix
     return x, trace
 
 
-def frank_wolfe_infer(x0, inst: QapInstance, m: int = FW_INFER_ROUNDS, tol: float = FW_INFER_TOL, *,
-                      max_inner: int = FW_INFER_MAX_INNER):
+def frank_wolfe_infer(x0, inst: QapInstance, m: int = FW_INFER_ROUNDS, tol: float = FW_INFER_TOL):
     """Discrete Frank-Wolfe refinement returning a permutation matrix.
 
-    Every round pursues Hungarian directions until the iterate stops moving,
-    then rounds to a permutation. The best discrete iterate by objective
-    value is tracked across the run, starting from the plain rounding of
-    ``x0``, so the returned objective never exceeds the initialization's.
+    Every round pursues Hungarian directions until the iterate stops moving
+    (at most ``FW_INFER_MAX_INNER`` steps), then rounds to a permutation. The
+    best discrete iterate by objective value is tracked across the run,
+    starting from the plain rounding of ``x0``, so the returned objective
+    never exceeds the initialization's.
     Stops early once the rounded iterate repeats between rounds.
     """
     if isinstance(x0, ad.Var):
         raise InvalidInputError("inference solver is not differentiable; pass a plain array")
+    if m < 0:
+        raise InvalidInputError("round count must be non-negative")
     x = np.asarray(x0, dtype=float)
     inst_v = inst.values()
     trace = SolveTrace(converged=False)
@@ -170,7 +170,7 @@ def frank_wolfe_infer(x0, inst: QapInstance, m: int = FW_INFER_ROUNDS, tol: floa
 
     prev_rounded = None
     for outer in range(m):
-        for inner in range(max_inner):
+        for inner in range(FW_INFER_MAX_INNER):
             eps = fw_step_size(inner)
             s = fw_direction(x, inst_v, "inference")
             x_next = x - eps * (x - s)

@@ -3,8 +3,7 @@
 The forward map composes attribute refinement, node affinity, Sinkhorn
 initialization, and the smooth Frank-Wolfe solver; every primitive on that
 path is differentiable, so reverse mode through the tape gives exact
-gradients of the unrolled computation. A central finite-difference oracle
-over the same map validates them. Sinkhorn runs a fixed iteration count
+gradients of the unrolled computation. Sinkhorn runs a fixed iteration count
 (tol 0) inside the forward map so the unrolled function stays smooth.
 """
 
@@ -20,14 +19,12 @@ from .errors import InvalidInputError, NumericalFailureError
 from .graphs import GraphPair
 from .losses import (LossConfig, accuracy, cross_entropy_loss, false_matching_loss,
                      permutation_to_matrix)
-from .projections import SINKHORN_MAX_ITER, hungarian
+from .projections import hungarian
 from .qap import FW_TRAIN_INNER, FW_TRAIN_OUTER, QapInstance, SolveTrace, frank_wolfe_train
 from .refine import (TRAIN_KERNEL_EPS, ParameterSet, init_assignment, init_parameters,
                      node_affinity, refine_pipeline)
 
-FD_STEP = 1e-5
 LOSSES = ("false_matching", "cross_entropy")
-GRADIENT_MODES = ("reverse_mode", "finite_difference")
 
 
 @dataclass(frozen=True)
@@ -38,7 +35,6 @@ class TrainConfig:
     m2: int = FW_TRAIN_INNER
     loss: str = "false_matching"
     seed: int = 0
-    gradient_mode: str = "reverse_mode"
     loss_cfg: LossConfig = field(default_factory=LossConfig)
     tau: float = 0.3
     n_layers: int = 2
@@ -56,8 +52,6 @@ class TrainConfig:
             raise InvalidInputError("m1 and m2 must be non-negative")
         if self.loss not in LOSSES:
             raise InvalidInputError(f"loss must be one of {LOSSES}")
-        if self.gradient_mode not in GRADIENT_MODES:
-            raise InvalidInputError(f"gradient_mode must be one of {GRADIENT_MODES}")
 
 
 @dataclass
@@ -93,8 +87,7 @@ class ForwardResult:
 
 def forward(pair: GraphPair, params: ParameterSet, *,
             m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER, tau: float = 1.0,
-            kernel_eps: float = 0.0, sinkhorn_max_iter: int = SINKHORN_MAX_ITER,
-            use_binary_adjacency: bool = False) -> ForwardResult:
+            kernel_eps: float = 0.0, use_binary_adjacency: bool = False) -> ForwardResult:
     """Refine attributes, build the affinity, project, and run smooth FW.
 
     With ``m1`` 0 the solver is bypassed and the Sinkhorn-projected affinity
@@ -112,9 +105,8 @@ def forward(pair: GraphPair, params: ParameterSet, *,
         inst = QapInstance(pair.a.adjacency, pair.b.adjacency, aff.matrix)
     else:
         inst = QapInstance(a_d, b_d, aff.matrix)
-    x0 = init_assignment(aff, max_iter=sinkhorn_max_iter, tol=0.0)
-    x, trace = frank_wolfe_train(x0, inst, m1, m2, tau=tau,
-                                 sinkhorn_max_iter=sinkhorn_max_iter, sinkhorn_tol=0.0)
+    x0 = init_assignment(aff, tol=0.0)
+    x, trace = frank_wolfe_train(x0, inst, m1, m2, tau=tau)
     return ForwardResult(x, trace, inst)
 
 
@@ -126,61 +118,36 @@ def _loss_fn(name: str):
     raise InvalidInputError(f"unknown loss {name!r}")
 
 
-def grad_params(pair: GraphPair, params: ParameterSet, loss_cfg: LossConfig,
-                mode: str = "reverse_mode", *, loss: str = "false_matching",
-                m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER, tau: float = 1.0,
-                fd_step: float = FD_STEP) -> tuple[ParameterSet, float, np.ndarray]:
+def grad_params(pair: GraphPair, params: ParameterSet, loss_cfg: LossConfig, *,
+                loss: str = "false_matching", m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER,
+                tau: float = 1.0) -> tuple[ParameterSet, float, np.ndarray]:
     """Gradient of the matching loss with respect to every parameter.
 
-    Reverse mode differentiates the unrolled forward computation exactly;
-    finite differences perturb each scalar parameter centrally by
-    ``fd_step``. Returns (gradients in parameter shape, loss value, the
-    forward assignment). Non-finite values raise NumericalFailureError
-    naming the failing stage.
+    Reverse mode differentiates the unrolled forward computation exactly.
+    Returns (gradients in parameter shape, loss value, the forward
+    assignment). Non-finite values raise NumericalFailureError naming the
+    failing stage.
     """
     x_star = permutation_to_matrix(pair.gt, pair.b.n)
     loss_f = _loss_fn(loss)
-    if mode == "reverse_mode":
-        lifted, leaves = params.lift()
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            res = forward(pair, lifted, m1=m1, m2=m2, tau=tau, kernel_eps=TRAIN_KERNEL_EPS)
-            x_val = np.array(ad.value(res.assignment))
-            if not np.all(np.isfinite(x_val)):
-                raise NumericalFailureError("forward produced non-finite assignment", stage="forward")
-            loss_v = loss_f(res.assignment, x_star, loss_cfg)
-            if not np.isfinite(ad.value(loss_v)):
-                raise NumericalFailureError("loss is not finite", stage="loss")
-            loss_v.backward()
-        flat = [leaf.grad for leaf in leaves]
-        if not all(np.all(np.isfinite(g)) for g in flat):
-            raise NumericalFailureError("parameter gradient is not finite", stage="parameter_gradient")
-        n_layers = params.n_layers
-        grads = ParameterSet(tuple(flat[2 * l] for l in range(n_layers)),
-                             tuple(flat[2 * l + 1] for l in range(n_layers)),
-                             flat[-1])
-        return grads, float(ad.value(loss_v)), x_val
-    if mode != "finite_difference":
-        raise InvalidInputError(f"unknown gradient mode {mode!r}")
-
-    def run(flat_vec: np.ndarray) -> np.ndarray:
-        p = params.replace_flat(flat_vec)
-        return forward(pair, p, m1=m1, m2=m2, tau=tau, kernel_eps=TRAIN_KERNEL_EPS).assignment
-
-    theta = params.flatten()
-    x_val = run(theta)
-    base = float(loss_f(x_val, x_star, loss_cfg))
-    if not np.isfinite(base):
-        raise NumericalFailureError("loss is not finite", stage="loss")
-    grad_flat = np.zeros_like(theta)
-    for i in range(theta.size):
-        bump = np.zeros_like(theta)
-        bump[i] = fd_step
-        up = float(loss_f(run(theta + bump), x_star, loss_cfg))
-        down = float(loss_f(run(theta - bump), x_star, loss_cfg))
-        grad_flat[i] = (up - down) / (2 * fd_step)
-    if not np.all(np.isfinite(grad_flat)):
+    lifted, leaves = params.lift()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        res = forward(pair, lifted, m1=m1, m2=m2, tau=tau, kernel_eps=TRAIN_KERNEL_EPS)
+        x_val = np.array(ad.value(res.assignment))
+        if not np.all(np.isfinite(x_val)):
+            raise NumericalFailureError("forward produced non-finite assignment", stage="forward")
+        loss_v = loss_f(res.assignment, x_star, loss_cfg)
+        if not np.isfinite(ad.value(loss_v)):
+            raise NumericalFailureError("loss is not finite", stage="loss")
+        loss_v.backward()
+    flat = [leaf.grad for leaf in leaves]
+    if not all(np.all(np.isfinite(g)) for g in flat):
         raise NumericalFailureError("parameter gradient is not finite", stage="parameter_gradient")
-    return params.replace_flat(grad_flat), base, x_val
+    n_layers = params.n_layers
+    grads = ParameterSet(tuple(flat[2 * l] for l in range(n_layers)),
+                         tuple(flat[2 * l + 1] for l in range(n_layers)),
+                         flat[-1])
+    return grads, float(ad.value(loss_v)), x_val
 
 
 def sgd_step(params: ParameterSet, grads: ParameterSet, lr: float) -> ParameterSet:
@@ -217,8 +184,8 @@ def train(pairs: list[GraphPair], cfg: TrainConfig,
         for idx in order:
             pair = pairs[idx]
             try:
-                grads, loss_v, x_val = grad_params(pair, params, cfg.loss_cfg, cfg.gradient_mode,
-                                                   loss=cfg.loss, m1=cfg.m1, m2=cfg.m2, tau=cfg.tau)
+                grads, loss_v, x_val = grad_params(pair, params, cfg.loss_cfg, loss=cfg.loss,
+                                                   m1=cfg.m1, m2=cfg.m2, tau=cfg.tau)
             except NumericalFailureError as exc:
                 exc.history = history
                 raise

@@ -3,6 +3,14 @@
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from quadmatch import autodiff as ad
+from quadmatch.losses import LossConfig, permutation_to_matrix
+from quadmatch.qap import FW_TRAIN_INNER, FW_TRAIN_OUTER
+from quadmatch.refine import TRAIN_KERNEL_EPS
+from quadmatch.train import _loss_fn, forward
+
+FD_STEP = 1e-5
+
 
 def lexicographic_hungarian(score) -> np.ndarray:
     """Lexicographically smallest optimal permutation by O(n^2) assignment solves.
@@ -37,3 +45,40 @@ def _lap_value(s: np.ndarray) -> float:
         return 0.0
     rows, cols = linear_sum_assignment(s, maximize=True)
     return float(s[rows, cols].sum())
+
+
+def finite_difference_grad(pair, params, loss_cfg: LossConfig, *, loss: str = "false_matching",
+                           m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER, tau: float = 1.0,
+                           step: float = FD_STEP):
+    """Central differences of the matching loss in every scalar parameter.
+
+    Evaluates the same forward map as ``train.grad_params``, two forward
+    passes per parameter, and returns the same triple: (gradients in
+    parameter shape, loss value, forward assignment).
+    """
+    x_star = permutation_to_matrix(pair.gt, pair.b.n)
+    loss_f = _loss_fn(loss)
+
+    def run(flat_vec: np.ndarray) -> np.ndarray:
+        p = params.replace_flat(flat_vec)
+        return forward(pair, p, m1=m1, m2=m2, tau=tau, kernel_eps=TRAIN_KERNEL_EPS).assignment
+
+    theta = params.flatten()
+    x_val = run(theta)
+    grad_flat = np.zeros_like(theta)
+    for i in range(theta.size):
+        bump = np.zeros_like(theta)
+        bump[i] = step
+        up = float(loss_f(run(theta + bump), x_star, loss_cfg))
+        down = float(loss_f(run(theta - bump), x_star, loss_cfg))
+        grad_flat[i] = (up - down) / (2 * step)
+    return params.replace_flat(grad_flat), float(loss_f(x_val, x_star, loss_cfg)), x_val
+
+
+def false_matching_loss_grad(x, x_star, cfg: LossConfig = LossConfig()) -> np.ndarray:
+    """Closed-form gradient of the false-matching loss in the prediction."""
+    xs = np.asarray(x_star, dtype=float)
+    xv = ad.value(x)
+    s_plus = float(np.sum(xv * (1.0 - xs)))
+    s_minus = float(np.sum(xs * (1.0 - xv)))
+    return cfg.alpha * np.exp(cfg.alpha * s_plus) * (1.0 - xs) - cfg.beta * np.exp(cfg.beta * s_minus) * xs

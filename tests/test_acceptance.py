@@ -14,6 +14,7 @@ import pytest
 from scipy.stats import spearmanr
 
 import quadmatch as qm
+from oracles import finite_difference_grad
 from quadmatch import autodiff as ad
 from quadmatch.bench import evaluate_pairs, outlier_sweep
 from quadmatch.errors import NumericalFailureError
@@ -80,10 +81,8 @@ def test_c02_end_to_end_differentiability():
                                  coord_jitter=0.02, seed=1000 + seed)
             pair = qm.gen_synthetic_pair(cfg)
             params = qm.init_parameters(6, n_layers=1, seed=seed)
-            g_rev, _, _ = grad_params(pair, params, LossConfig(), "reverse_mode",
-                                      m1=1, m2=2)
-            g_fd, _, _ = grad_params(pair, params, LossConfig(), "finite_difference",
-                                     m1=1, m2=2)
+            g_rev, _, _ = grad_params(pair, params, LossConfig(), m1=1, m2=2)
+            g_fd, _, _ = finite_difference_grad(pair, params, LossConfig(), m1=1, m2=2)
             rel = (np.linalg.norm(g_rev.flatten() - g_fd.flatten())
                    / max(np.linalg.norm(g_fd.flatten()), 1e-30))
             worst = max(worst, rel)

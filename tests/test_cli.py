@@ -7,8 +7,8 @@ import pytest
 
 from quadmatch.cli import main
 from quadmatch.errors import NumericalFailureError
-from quadmatch.graphs import load_dataset, save_pair
-from quadmatch.refine import load_parameters
+from quadmatch.graphs import load_dataset, save_dataset, save_pair
+from quadmatch.refine import init_parameters, load_parameters, save_parameters
 from quadmatch.synth import SynthConfig, gen_synthetic_pair
 
 
@@ -138,3 +138,32 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path, config_file):
     main(["synth", "--config", config_file, "--out", data, "--n-pairs", "2"])
     assert main(["train", "--data", data, "--config", config_file,
                  "--out", str(tmp_path / "c.json")]) == 2
+
+
+@pytest.mark.parametrize("command,config,fragment", [
+    ("synth", {"synth": 5}, "'synth'"),
+    ("train", {"train": [1, 2]}, "'train'"),
+    ("match", {"solver": 5}, "'solver'"),
+    ("match", {"solver": {"m1": "3"}}, "m1"),
+    ("match", {"solver": {"infer_rounds": 2.5}}, "infer_rounds"),
+    ("match", {"solver": {"infer_rounds": -3}}, "infer_rounds"),
+])
+def test_bad_config_exit_code(tmp_path, capsys, command, config, fragment):
+    cfg = tmp_path / "bad_config.json"
+    cfg.write_text(json.dumps(config))
+    pair = gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3))
+    data = tmp_path / "data.json"
+    save_dataset([pair], str(data))
+    pair_file = tmp_path / "pair.json"
+    save_pair(pair, str(pair_file))
+    ckpt = tmp_path / "ckpt.json"
+    save_parameters(init_parameters(pair.a.attributes.shape[1], n_layers=1, seed=0), str(ckpt))
+    argv = {
+        "synth": ["synth", "--out", str(tmp_path / "out.json"), "--n-pairs", "1"],
+        "train": ["train", "--data", str(data), "--out", str(tmp_path / "c.json")],
+        "match": ["match", "--pair", str(pair_file), "--checkpoint", str(ckpt)],
+    }[command]
+    assert main(argv + ["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert "Traceback" not in err

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import false_matching_loss_grad
 
 from quadmatch import autodiff as ad
 from quadmatch.errors import InvalidInputError
 from quadmatch.losses import (LossConfig, accuracy, cross_entropy_loss, f1_score,
-                              false_matching_loss, false_matching_loss_grad,
-                              matrix_to_permutation, permutation_to_matrix)
+                              false_matching_loss, matrix_to_permutation,
+                              permutation_to_matrix)
 from quadmatch.projections import sinkhorn
 
 
@@ -93,6 +94,13 @@ class TestCrossEntropyLoss:
         x_star = random_perm_matrix(5, 4)
         cfg = LossConfig(clip_eps=1e-300)
         assert cross_entropy_loss(x_star, x_star, cfg) == pytest.approx(0.0, abs=1e-9)
+
+    def test_exact_binary_match_near_zero_on_tape(self):
+        x_star = random_perm_matrix(5, 4)
+        cfg = LossConfig(clip_eps=1e-300)
+        loss = cross_entropy_loss(ad.Var(x_star), x_star, cfg)
+        assert isinstance(loss, ad.Var)
+        assert ad.value(loss) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_closed_form(self):
         n = 5

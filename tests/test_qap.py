@@ -273,6 +273,11 @@ class TestFrankWolfeInfer:
         with pytest.raises(InvalidInputError):
             frank_wolfe_infer(ad.Var(np.eye(3)), inst)
 
+    def test_rejects_negative_round_count(self, rng):
+        inst = random_instance(rng, 3)
+        with pytest.raises(InvalidInputError):
+            frank_wolfe_infer(np.eye(3), inst, m=-3)
+
     def test_trace_csv_format(self, rng):
         inst = random_instance(rng, 4)
         x0 = random_doubly_stochastic(rng, 4)

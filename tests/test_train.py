@@ -1,7 +1,10 @@
-"""Forward composition, gradient modes, SGD loop, and history output."""
+"""Forward composition, reverse-mode gradients, SGD loop, and history output."""
+
+import types
 
 import numpy as np
 import pytest
+from oracles import finite_difference_grad
 
 from quadmatch import autodiff as ad
 from quadmatch.errors import InvalidInputError, NumericalFailureError
@@ -61,30 +64,23 @@ class TestForward:
 
 class TestGradParams:
     def test_reverse_matches_finite_difference(self, pair, params):
-        g_rev, loss_rev, _ = grad_params(pair, params, LossConfig(), "reverse_mode",
-                                         m1=1, m2=2)
-        g_fd, loss_fd, _ = grad_params(pair, params, LossConfig(), "finite_difference",
-                                       m1=1, m2=2)
+        g_rev, loss_rev, _ = grad_params(pair, params, LossConfig(), m1=1, m2=2)
+        g_fd, loss_fd, _ = finite_difference_grad(pair, params, LossConfig(), m1=1, m2=2)
         assert loss_rev == pytest.approx(loss_fd)
         rel = (np.linalg.norm(g_rev.flatten() - g_fd.flatten())
                / np.linalg.norm(g_fd.flatten()))
         assert rel < 1e-3
 
     def test_cross_entropy_gradients(self, pair, params):
-        g_rev, _, _ = grad_params(pair, params, LossConfig(), "reverse_mode",
-                                  loss="cross_entropy", m1=1, m2=2)
-        g_fd, _, _ = grad_params(pair, params, LossConfig(), "finite_difference",
-                                 loss="cross_entropy", m1=1, m2=2)
+        g_rev, _, _ = grad_params(pair, params, LossConfig(), loss="cross_entropy", m1=1, m2=2)
+        g_fd, _, _ = finite_difference_grad(pair, params, LossConfig(), loss="cross_entropy",
+                                            m1=1, m2=2)
         rel = (np.linalg.norm(g_rev.flatten() - g_fd.flatten())
                / np.linalg.norm(g_fd.flatten()))
         assert rel < 1e-3
 
-    def test_unknown_mode_rejected(self, pair, params):
-        with pytest.raises(InvalidInputError):
-            grad_params(pair, params, LossConfig(), "symbolic")
-
     def test_gradients_are_parameter_shaped(self, pair, params):
-        g, _, x = grad_params(pair, params, LossConfig(), "reverse_mode", m1=1, m2=2)
+        g, _, x = grad_params(pair, params, LossConfig(), m1=1, m2=2)
         assert g.n_layers == params.n_layers
         for (k1, t1), (k2, t2) in zip(g.tensors().items(), params.tensors().items()):
             assert k1 == k2 and ad.value(t1).shape == ad.value(t2).shape
@@ -177,6 +173,9 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             TrainConfig(loss="hinge")
 
-    def test_bad_gradient_mode(self):
-        with pytest.raises(InvalidInputError):
-            TrainConfig(gradient_mode="forward_mode")
+
+def test_package_attribute_is_the_module():
+    # the package re-exports no ``train`` function that would shadow its module
+    import quadmatch.train as T
+    assert isinstance(T, types.ModuleType)
+    assert T.train.__module__ == "quadmatch.train"
