@@ -1,8 +1,10 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-The training path unrolls Sinkhorn normalization and Frank-Wolfe updates into
-one flat expression graph, so a small tape with closure-based backward passes
-is all that is needed. Every helper in this module accepts either a `Var` or
+The training path records the Frank-Wolfe updates into one flat expression
+graph, so a small tape with closure-based backward passes is all that is
+needed. Each Sinkhorn normalization on that path is a single node whose
+backward pass replays its stored log iterates in numpy (see
+`projections.sinkhorn`). Every helper in this module accepts either a `Var` or
 a plain ndarray: when no `Var` is involved the computation falls through to
 numpy directly, which lets the solver code be written once and reused for
 both inference and training.

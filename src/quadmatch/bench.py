@@ -92,10 +92,23 @@ def _strip_prior(pair: GraphPair) -> GraphPair:
     return GraphPair(strip(pair.a), strip(pair.b), pair.gt)
 
 
+def check_solver_args(*, m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER,
+                      infer_rounds: int = FW_INFER_ROUNDS,
+                      infer_tol: float = FW_INFER_TOL) -> None:
+    """Raise InvalidInputError unless the solver loop counts are non-negative
+    integers and the inference tolerance is a number."""
+    for key, val in (("m1", m1), ("m2", m2), ("infer_rounds", infer_rounds)):
+        if isinstance(val, bool) or not isinstance(val, int) or val < 0:
+            raise InvalidInputError(f"solver {key} must be a non-negative integer")
+    if isinstance(infer_tol, bool) or not isinstance(infer_tol, (int, float)):
+        raise InvalidInputError("solver infer_tol must be a number")
+
+
 def match_pair(pair: GraphPair, params: ParameterSet, variant: str = "full", *,
                m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER,
                infer_rounds: int = FW_INFER_ROUNDS, infer_tol: float = FW_INFER_TOL) -> MatchResult:
     """Run one inference variant on one pair and score it against the truth."""
+    check_solver_args(m1=m1, m2=m2, infer_rounds=infer_rounds, infer_tol=infer_tol)
     if variant not in VARIANTS:
         raise InvalidInputError(f"variant must be one of {VARIANTS}")
     if variant == "no_prior":
@@ -122,9 +135,11 @@ def match_pair(pair: GraphPair, params: ParameterSet, variant: str = "full", *,
 
 def evaluate_pairs(pairs, params: ParameterSet, variant: str = "full", **kwargs) -> VariantResult:
     """Mean metrics of one variant over a dataset; per-pair failures are
-    counted and skipped rather than aborting the run."""
+    counted and skipped rather than aborting the run. Invalid solver
+    settings are the caller's error and raise before any pair runs."""
     if not pairs:
         raise InvalidInputError("evaluation requires a non-empty dataset")
+    check_solver_args(**kwargs)
     t0 = time.perf_counter()
     accs, f1s, objs = [], [], []
     failures = 0

@@ -19,7 +19,7 @@ import json
 import sys
 
 
-from .bench import outlier_sweep, match_pair, run_benchmark, sweep_to_csv
+from .bench import check_solver_args, match_pair, outlier_sweep, run_benchmark, sweep_to_csv
 from .errors import InvalidInputError, NumericalFailureError
 from .graphs import load_dataset, load_pair, save_dataset
 from .losses import LossConfig
@@ -72,12 +72,7 @@ def _solver_kwargs(cfg: dict) -> dict:
     bad = set(section) - allowed
     if bad:
         raise InvalidInputError(f"unknown solver config keys: {sorted(bad)}")
-    for key, val in section.items():
-        if key == "infer_tol":
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise InvalidInputError(f"solver {key} must be a number")
-        elif isinstance(val, bool) or not isinstance(val, int) or val < 0:
-            raise InvalidInputError(f"solver {key} must be a non-negative integer")
+    check_solver_args(**section)
     return section
 
 

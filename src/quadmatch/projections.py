@@ -41,6 +41,12 @@ def sinkhorn(m, max_iter: int = SINKHORN_MAX_ITER, tol: float = SINKHORN_TOL, *,
     case the best iterate is returned with ``converged`` False. ``tol <= 0``
     disables the check and unrolls exactly ``max_iter`` rounds, which keeps
     the map smooth for differentiation.
+
+    On the training tape the whole normalization is one node: the forward
+    pass runs in numpy and keeps every normalized log iterate (up to
+    ``2 * max_iter`` n-by-n arrays, held only while the tape lives), and the
+    backward pass replays them in reverse. Its gradient is bit for bit the
+    one a tape holding one node per operation of the loop gives.
     """
     mv = ad.value(m)
     if mv.ndim != 2 or mv.shape[0] != mv.shape[1] or mv.shape[0] < 1:
@@ -50,21 +56,44 @@ def sinkhorn(m, max_iter: int = SINKHORN_MAX_ITER, tol: float = SINKHORN_TOL, *,
     if not log_input and np.any(mv <= 0.0):
         raise InvalidInputError("sinkhorn requires strictly positive entries")
 
-    log_x = m if log_input else ad.log(m)
+    on_tape = isinstance(m, ad.Var)
+    iterates = []  # (axis, normalized log iterate) per half-step, tape only
+    log_x = mv if log_input else np.log(mv)
     converged = tol <= 0.0
     iterations = 0
     for i in range(max_iter):
-        log_x = log_x - ad.logsumexp(log_x, axis=1, keepdims=True)
-        log_x = log_x - ad.logsumexp(log_x, axis=0, keepdims=True)
+        for axis in (1, 0):
+            log_x = log_x - ad.logsumexp(log_x, axis=axis, keepdims=True)
+            if on_tape:
+                iterates.append((axis, log_x))
         iterations = i + 1
         if tol > 0.0:
-            lv = ad.value(log_x)
-            row_dev = np.abs(np.exp(ad.logsumexp(lv, axis=1)) - 1.0).max()
-            col_dev = np.abs(np.exp(ad.logsumexp(lv, axis=0)) - 1.0).max()
+            row_dev = np.abs(np.exp(ad.logsumexp(log_x, axis=1)) - 1.0).max()
+            col_dev = np.abs(np.exp(ad.logsumexp(log_x, axis=0)) - 1.0).max()
             if max(row_dev, col_dev) < tol:
                 converged = True
                 break
-    return SinkhornResult(ad.exp(log_x), converged, iterations)
+    out = np.exp(log_x)
+    if not on_tape:
+        return SinkhornResult(out, converged, iterations)
+
+    def bw(g):
+        # reverse of log_x <- log_x - lse(log_x): g <- g - softmax * sum(g)
+        g = g * out
+        for axis, y in reversed(iterates[1:] if log_input else iterates):
+            g = g - np.exp(y) * g.sum(axis=axis, keepdims=True)
+        if not log_input:
+            m.grad += g / mv
+            return
+        # the first half-step reads m directly: add its two terms one at a
+        # time, as a tape of one node per operation does, so that m's other
+        # uses sum into m.grad in the same order and the result is the same
+        m.grad += g
+        if iterates:
+            axis, y = iterates[0]
+            m.grad -= np.exp(y) * g.sum(axis=axis, keepdims=True)
+
+    return SinkhornResult(ad.Var(out, (m,), bw), converged, iterations)
 
 
 def hungarian(score) -> np.ndarray:

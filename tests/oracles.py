@@ -5,6 +5,7 @@ from scipy.optimize import linear_sum_assignment
 
 from quadmatch import autodiff as ad
 from quadmatch.losses import LossConfig, permutation_to_matrix
+from quadmatch.projections import SINKHORN_MAX_ITER, SINKHORN_TOL, SinkhornResult
 from quadmatch.qap import FW_TRAIN_INNER, FW_TRAIN_OUTER
 from quadmatch.refine import TRAIN_KERNEL_EPS
 from quadmatch.train import _loss_fn, forward
@@ -45,6 +46,31 @@ def _lap_value(s: np.ndarray) -> float:
         return 0.0
     rows, cols = linear_sum_assignment(s, maximize=True)
     return float(s[rows, cols].sum())
+
+
+def unrolled_sinkhorn(m, max_iter: int = SINKHORN_MAX_ITER, tol: float = SINKHORN_TOL, *,
+                      log_input: bool = False) -> SinkhornResult:
+    """Sinkhorn normalization built from tape primitives, one node per operation.
+
+    Same iteration and stopping rule as ``projections.sinkhorn``; on a tape
+    ``Var`` every half-step adds a ``logsumexp`` and a ``sub`` node, so
+    reverse mode differentiates the unrolled loop operation by operation.
+    """
+    log_x = m if log_input else ad.log(m)
+    converged = tol <= 0.0
+    iterations = 0
+    for i in range(max_iter):
+        log_x = log_x - ad.logsumexp(log_x, axis=1, keepdims=True)
+        log_x = log_x - ad.logsumexp(log_x, axis=0, keepdims=True)
+        iterations = i + 1
+        if tol > 0.0:
+            lv = ad.value(log_x)
+            row_dev = np.abs(np.exp(ad.logsumexp(lv, axis=1)) - 1.0).max()
+            col_dev = np.abs(np.exp(ad.logsumexp(lv, axis=0)) - 1.0).max()
+            if max(row_dev, col_dev) < tol:
+                converged = True
+                break
+    return SinkhornResult(ad.exp(log_x), converged, iterations)
 
 
 def finite_difference_grad(pair, params, loss_cfg: LossConfig, *, loss: str = "false_matching",

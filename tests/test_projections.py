@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lexicographic_hungarian
+from oracles import lexicographic_hungarian, unrolled_sinkhorn
 from quadmatch import autodiff as ad
 from quadmatch import projections
 from quadmatch.errors import InvalidInputError
@@ -100,6 +100,33 @@ class TestSinkhorn:
         res = sinkhorn(np.array([[1.0, 2.0], [3.0, 4.0]]), max_iter=7, tol=0.0)
         assert res.iterations == 7
         assert res.converged
+
+    @given(n=st.integers(1, 12), log_input=st.booleans(), max_iter=st.integers(0, 60),
+           tol=st.sampled_from([0.0, 1e-6]), seed=st.integers(0, 10_000))
+    def test_tape_matches_unrolled_oracle(self, n, log_input, max_iter, tol, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(scale=3.0, size=(n, n)) if log_input else positive_matrix(rng, n)
+        weight, other = rng.normal(size=(2, n, n))
+        results = []
+        for fn in (sinkhorn, unrolled_sinkhorn):
+            leaf = ad.Var(m)
+            res = fn(leaf, max_iter=max_iter, tol=tol, log_input=log_input)
+            # a second use of the input, as the affinity's log matrix has
+            ad.asum(res.matrix * weight + leaf * other).backward()
+            results.append((ad.value(res.matrix), res.converged, res.iterations, leaf.grad))
+        (x, conv, its, grad), (x_o, conv_o, its_o, grad_o) = results
+        np.testing.assert_array_equal(x, x_o)
+        assert (conv, its) == (conv_o, its_o)
+        np.testing.assert_array_equal(grad, grad_o)
+        plain = sinkhorn(m, max_iter=max_iter, tol=tol, log_input=log_input).matrix
+        assert isinstance(plain, np.ndarray)
+        np.testing.assert_array_equal(plain, x_o)
+
+    def test_tape_result_is_one_node(self, rng):
+        leaf = ad.Var(positive_matrix(rng, 4))
+        out = sinkhorn(leaf, max_iter=20, tol=0.0).matrix
+        assert isinstance(out, ad.Var)
+        assert ad._toposort(out) == [leaf, out]
 
 
 class TestHungarian:

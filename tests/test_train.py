@@ -4,9 +4,10 @@ import types
 
 import numpy as np
 import pytest
-from oracles import finite_difference_grad
+from oracles import finite_difference_grad, unrolled_sinkhorn
 
 from quadmatch import autodiff as ad
+from quadmatch import qap, refine
 from quadmatch.errors import InvalidInputError, NumericalFailureError
 from quadmatch.losses import LossConfig, permutation_to_matrix
 from quadmatch.refine import (init_assignment, init_parameters, node_affinity,
@@ -78,6 +79,33 @@ class TestGradParams:
         rel = (np.linalg.norm(g_rev.flatten() - g_fd.flatten())
                / np.linalg.norm(g_fd.flatten()))
         assert rel < 1e-3
+
+    def test_fused_sinkhorn_matches_unrolled_pipeline(self, monkeypatch):
+        # C8 settings: n=8 easy pairs, two GCN layers, m1=3, m2=5, tau=0.3
+        pairs = gen_dataset(easy_config(seed=11), 2)
+        params = init_parameters(18, n_layers=2, seed=5)
+        cfg = LossConfig(alpha=2.0, beta=0.1)
+        kwargs = dict(m1=3, m2=5, tau=0.3)
+        sizes = []
+        toposort = ad._toposort
+
+        def counted(root):
+            order = toposort(root)
+            sizes.append(len(order))
+            return order
+
+        monkeypatch.setattr(ad, "_toposort", counted)
+        fused = [grad_params(p, params, cfg, **kwargs) for p in pairs]
+        monkeypatch.setattr(ad, "_toposort", toposort)
+        monkeypatch.setattr(qap, "sinkhorn", unrolled_sinkhorn)
+        monkeypatch.setattr(refine, "sinkhorn", unrolled_sinkhorn)
+        unrolled = [grad_params(p, params, cfg, **kwargs) for p in pairs]
+
+        assert len(sizes) == len(pairs) and max(sizes) < 500
+        for (g, loss_v, x), (g_o, loss_o, x_o) in zip(fused, unrolled):
+            assert loss_v == loss_o
+            np.testing.assert_array_equal(x, x_o)
+            np.testing.assert_array_equal(g.flatten(), g_o.flatten())
 
     def test_gradients_are_parameter_shaped(self, pair, params):
         g, _, x = grad_params(pair, params, LossConfig(), m1=1, m2=2)
