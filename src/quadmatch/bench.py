@@ -22,8 +22,7 @@ from .errors import InvalidInputError, NumericalFailureError
 from .graphs import Graph, GraphPair, assemble_attributes
 from .losses import accuracy, f1_score, matrix_to_permutation, permutation_to_matrix
 from .projections import hungarian
-from .qap import (FW_INFER_ROUNDS, FW_INFER_TOL, FW_TRAIN_INNER, FW_TRAIN_OUTER, SolveTrace,
-                  frank_wolfe_infer, objective)
+from .qap import FW_TRAIN_OUTER, SolveTrace, frank_wolfe_infer, objective
 from .refine import ParameterSet
 from .synth import inject_outliers
 from .train import forward
@@ -92,28 +91,21 @@ def _strip_prior(pair: GraphPair) -> GraphPair:
     return GraphPair(strip(pair.a), strip(pair.b), pair.gt)
 
 
-def check_solver_args(*, m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER,
-                      infer_rounds: int = FW_INFER_ROUNDS,
-                      infer_tol: float = FW_INFER_TOL) -> None:
-    """Raise InvalidInputError unless the solver loop counts are non-negative
-    integers and the inference tolerance is a number."""
-    for key, val in (("m1", m1), ("m2", m2), ("infer_rounds", infer_rounds)):
-        if isinstance(val, bool) or not isinstance(val, int) or val < 0:
-            raise InvalidInputError(f"solver {key} must be a non-negative integer")
-    if isinstance(infer_tol, bool) or not isinstance(infer_tol, (int, float)):
-        raise InvalidInputError("solver infer_tol must be a number")
-
-
-def match_pair(pair: GraphPair, params: ParameterSet, variant: str = "full", *,
-               m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER,
-               infer_rounds: int = FW_INFER_ROUNDS, infer_tol: float = FW_INFER_TOL) -> MatchResult:
-    """Run one inference variant on one pair and score it against the truth."""
-    check_solver_args(m1=m1, m2=m2, infer_rounds=infer_rounds, infer_tol=infer_tol)
+def _check_variant(variant: str) -> None:
     if variant not in VARIANTS:
         raise InvalidInputError(f"variant must be one of {VARIANTS}")
+
+
+def match_pair(pair: GraphPair, params: ParameterSet, variant: str = "full") -> MatchResult:
+    """Run one inference variant on one pair and score it against the truth.
+
+    Inference runs at fixed solver settings: the smooth Frank-Wolfe warm
+    start of ``forward`` (skipped by ``no_qc``), then ``frank_wolfe_infer``.
+    """
+    _check_variant(variant)
     if variant == "no_prior":
         pair = _strip_prior(pair)
-    res = forward(pair, params, m1=0 if variant == "no_qc" else m1, m2=m2,
+    res = forward(pair, params, m1=0 if variant == "no_qc" else FW_TRAIN_OUTER,
                   use_binary_adjacency=(variant == "no_pairwise"))
     x = ad.value(res.assignment)
     inst = res.instance.values()
@@ -121,7 +113,7 @@ def match_pair(pair: GraphPair, params: ParameterSet, variant: str = "full", *,
         matrix = hungarian(x)
         trace = res.trace
     else:
-        matrix, trace = frank_wolfe_infer(x, inst, m=infer_rounds, tol=infer_tol)
+        matrix, trace = frank_wolfe_infer(x, inst)
     x_star = permutation_to_matrix(pair.gt, pair.b.n)
     return MatchResult(
         permutation=matrix_to_permutation(matrix),
@@ -133,19 +125,19 @@ def match_pair(pair: GraphPair, params: ParameterSet, variant: str = "full", *,
     )
 
 
-def evaluate_pairs(pairs, params: ParameterSet, variant: str = "full", **kwargs) -> VariantResult:
+def evaluate_pairs(pairs, params: ParameterSet, variant: str = "full") -> VariantResult:
     """Mean metrics of one variant over a dataset; per-pair failures are
-    counted and skipped rather than aborting the run. Invalid solver
-    settings are the caller's error and raise before any pair runs."""
+    counted and skipped rather than aborting the run. An unknown variant is
+    the caller's error and raises before any pair runs."""
     if not pairs:
         raise InvalidInputError("evaluation requires a non-empty dataset")
-    check_solver_args(**kwargs)
+    _check_variant(variant)
     t0 = time.perf_counter()
     accs, f1s, objs = [], [], []
     failures = 0
     for pair in pairs:
         try:
-            r = match_pair(pair, params, variant, **kwargs)
+            r = match_pair(pair, params, variant)
         except (InvalidInputError, NumericalFailureError):
             failures += 1
             continue
@@ -159,15 +151,15 @@ def evaluate_pairs(pairs, params: ParameterSet, variant: str = "full", **kwargs)
                          float(np.mean(f1s)), float(np.mean(objs)), wall)
 
 
-def run_benchmark(pairs, params: ParameterSet, **kwargs) -> ExperimentReport:
+def run_benchmark(pairs, params: ParameterSet) -> ExperimentReport:
     """Evaluate all four pipeline variants over the dataset."""
     if not pairs:
         raise InvalidInputError("benchmark requires a non-empty dataset")
-    return ExperimentReport([evaluate_pairs(pairs, params, v, **kwargs) for v in VARIANTS])
+    return ExperimentReport([evaluate_pairs(pairs, params, v) for v in VARIANTS])
 
 
 def outlier_sweep(pairs, params: ParameterSet, ks=(0, 1, 2, 3, 4), *,
-                  outlier_sigma: float = 10.0, seed: int = 0, **kwargs) -> list[dict]:
+                  outlier_sigma: float = 10.0, seed: int = 0) -> list[dict]:
     """Accuracy/F1 of the full pipeline as outliers are injected.
 
     Each sweep point re-injects into the clean pairs with a seed derived
@@ -178,7 +170,7 @@ def outlier_sweep(pairs, params: ParameterSet, ks=(0, 1, 2, 3, 4), *,
         child_seeds = np.random.SeedSequence((seed, k)).spawn(len(pairs))
         noisy = [inject_outliers(p, k, outlier_sigma, rng=np.random.default_rng(cs))
                  for p, cs in zip(pairs, child_seeds)]
-        res = evaluate_pairs(noisy, params, "full", **kwargs)
+        res = evaluate_pairs(noisy, params, "full")
         rows.append({"k": k, "mean_accuracy": res.mean_accuracy, "mean_f1": res.mean_f1,
                      "n_failures": res.n_failures})
     return rows

@@ -7,9 +7,13 @@ Subcommands:
   eval          dataset + checkpoint -> four-variant report CSV (and JSON)
   bench-robust  outlier sweep -> CSV of accuracy vs outlier count
 
-Config files are JSON with optional "synth", "train", and "solver" sections
-mirroring the corresponding dataclass fields. Exit codes: 0 success,
-1 invalid input, 2 numerical failure.
+Config files are JSON with optional "synth" and "train" sections mirroring
+the corresponding dataclass fields; any other top-level key is an error.
+Inference (match, eval, bench-robust) runs at fixed solver settings: a
+smooth Frank-Wolfe warm start at m1=3, m2=5, tau=1.0, then at most 10
+discrete rounds of at most 50 Hungarian steps each; the run stops on a
+repeated rounding. Exit codes: 0 success, 1 invalid input, 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -18,14 +22,15 @@ import argparse
 import json
 import sys
 
-
-from .bench import check_solver_args, match_pair, outlier_sweep, run_benchmark, sweep_to_csv
+from .bench import match_pair, outlier_sweep, run_benchmark, sweep_to_csv
 from .errors import InvalidInputError, NumericalFailureError
 from .graphs import load_dataset, load_pair, save_dataset
 from .losses import LossConfig
 from .refine import load_parameters, save_parameters
 from .synth import SynthConfig, gen_dataset
 from .train import TrainConfig, train
+
+CONFIG_SECTIONS = ("synth", "train")
 
 
 def _load_config(path) -> dict:
@@ -35,18 +40,18 @@ def _load_config(path) -> dict:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise InvalidInputError("config file must contain a JSON object")
+    unknown = sorted(set(obj) - set(CONFIG_SECTIONS))
+    if unknown:
+        raise InvalidInputError(f"unknown config sections {unknown}; "
+                                f"allowed: {list(CONFIG_SECTIONS)}")
+    for name, section in obj.items():
+        if not isinstance(section, dict):
+            raise InvalidInputError(f"config section {name!r} must be a JSON object")
     return obj
 
 
-def _section(cfg: dict, name: str) -> dict:
-    section = cfg.get(name, {})
-    if not isinstance(section, dict):
-        raise InvalidInputError(f"config section {name!r} must be a JSON object")
-    return dict(section)
-
-
 def _synth_config(cfg: dict, seed: int | None) -> SynthConfig:
-    section = _section(cfg, "synth")
+    section = dict(cfg.get("synth", {}))
     if seed is not None:
         section["seed"] = seed
     try:
@@ -56,7 +61,7 @@ def _synth_config(cfg: dict, seed: int | None) -> SynthConfig:
 
 
 def _train_config(cfg: dict, seed: int | None) -> TrainConfig:
-    section = _section(cfg, "train")
+    section = dict(cfg.get("train", {}))
     loss_keys = {k: section.pop(k) for k in ("alpha", "beta", "clip_eps") if k in section}
     if seed is not None:
         section["seed"] = seed
@@ -64,16 +69,6 @@ def _train_config(cfg: dict, seed: int | None) -> TrainConfig:
         return TrainConfig(loss_cfg=LossConfig(**loss_keys), **section)
     except TypeError as exc:
         raise InvalidInputError(f"bad train config: {exc}") from exc
-
-
-def _solver_kwargs(cfg: dict) -> dict:
-    section = _section(cfg, "solver")
-    allowed = {"m1", "m2", "infer_rounds", "infer_tol"}
-    bad = set(section) - allowed
-    if bad:
-        raise InvalidInputError(f"unknown solver config keys: {sorted(bad)}")
-    check_solver_args(**section)
-    return section
 
 
 def _cmd_synth(args) -> None:
@@ -104,8 +99,8 @@ def _cmd_match(args) -> None:
     pair = load_pair(args.pair)
     params = load_parameters(args.checkpoint)
     variant = {"qc": "no_qc", "pairwise": "no_pairwise", "prior": "no_prior", None: "full"}[args.ablate]
-    cfg = _load_config(args.config)
-    result = match_pair(pair, params, variant, **_solver_kwargs(cfg))
+    _load_config(args.config)
+    result = match_pair(pair, params, variant)
     print(f"permutation: {result.permutation.tolist()}")
     print(f"objective: {result.objective!r}")
     print(f"accuracy: {result.accuracy!r}  f1: {result.f1!r}")
@@ -121,7 +116,8 @@ def _cmd_match(args) -> None:
 def _cmd_eval(args) -> None:
     pairs = load_dataset(args.data)
     params = load_parameters(args.checkpoint)
-    report = run_benchmark(pairs, params, **_solver_kwargs(_load_config(args.config)))
+    _load_config(args.config)
+    report = run_benchmark(pairs, params)
     report.write_csv(args.out)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -132,13 +128,11 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_bench_robust(args) -> None:
-    cfg_obj = _load_config(args.config)
-    synth_cfg = _synth_config(cfg_obj, args.seed)
+    synth_cfg = _synth_config(_load_config(args.config), args.seed)
     params = load_parameters(args.checkpoint)
     pairs = gen_dataset(synth_cfg, args.n_pairs)
     rows = outlier_sweep(pairs, params, ks=tuple(range(args.kmax + 1)),
-                         outlier_sigma=args.sigma, seed=synth_cfg.seed,
-                         **_solver_kwargs(cfg_obj))
+                         outlier_sigma=args.sigma, seed=synth_cfg.seed)
     csv = sweep_to_csv(rows)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(csv)
@@ -169,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="match a single pair")
     p.add_argument("--pair", required=True, help="pair JSON")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", help="JSON config with a 'solver' section")
+    p.add_argument("--config", help="JSON config (checked; no section applies here)")
     p.add_argument("--out", help="result JSON path")
     p.add_argument("--trace", help="solver trace CSV path")
     p.add_argument("--ablate", choices=["qc", "pairwise", "prior"], default=None)
@@ -178,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate all pipeline variants on a dataset")
     p.add_argument("--data", required=True, help="dataset JSON")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", help="JSON config with a 'solver' section")
+    p.add_argument("--config", help="JSON config (checked; no section applies here)")
     p.add_argument("--out", required=True, help="report CSV path")
     p.add_argument("--json", help="optional report JSON path (includes wall-clock)")
     p.set_defaults(func=_cmd_eval)

@@ -22,7 +22,6 @@ from .projections import hungarian, sinkhorn
 FW_TRAIN_OUTER = 3
 FW_TRAIN_INNER = 5
 FW_INFER_ROUNDS = 10
-FW_INFER_TOL = 1e-6
 FW_INFER_MAX_INNER = 50
 
 
@@ -147,20 +146,19 @@ def frank_wolfe_train(x0, inst: QapInstance, m1: int = FW_TRAIN_OUTER, m2: int =
     return x, trace
 
 
-def frank_wolfe_infer(x0, inst: QapInstance, m: int = FW_INFER_ROUNDS, tol: float = FW_INFER_TOL):
+def frank_wolfe_infer(x0, inst: QapInstance):
     """Discrete Frank-Wolfe refinement returning a permutation matrix.
 
-    Every round pursues Hungarian directions until the iterate stops moving
-    (at most ``FW_INFER_MAX_INNER`` steps), then rounds to a permutation. The
-    best discrete iterate by objective value is tracked across the run,
-    starting from the plain rounding of ``x0``, so the returned objective
-    never exceeds the initialization's.
+    Each of at most ``FW_INFER_ROUNDS`` rounds pursues Hungarian directions
+    for at most ``FW_INFER_MAX_INNER`` steps, stopping early at a fixed point
+    (the direction equals the iterate, so every later step is a no-op), then
+    rounds to a permutation. The best discrete iterate by objective value is
+    tracked across the run, starting from the plain rounding of ``x0``, so
+    the returned objective never exceeds the initialization's.
     Stops early once the rounded iterate repeats between rounds.
     """
     if isinstance(x0, ad.Var):
         raise InvalidInputError("inference solver is not differentiable; pass a plain array")
-    if m < 0:
-        raise InvalidInputError("round count must be non-negative")
     x = np.asarray(x0, dtype=float)
     inst_v = inst.values()
     trace = SolveTrace(converged=False)
@@ -169,15 +167,14 @@ def frank_wolfe_infer(x0, inst: QapInstance, m: int = FW_INFER_ROUNDS, tol: floa
     best_val = float(objective(best, inst_v))
 
     prev_rounded = None
-    for outer in range(m):
+    for outer in range(FW_INFER_ROUNDS):
         for inner in range(FW_INFER_MAX_INNER):
             eps = fw_step_size(inner)
             s = fw_direction(x, inst_v, "inference")
-            x_next = x - eps * (x - s)
-            delta = float(np.linalg.norm(x_next - x))
-            x = x_next
+            fixed = np.array_equal(s, x)
+            x = x - eps * (x - s)
             trace.steps.append(TraceStep(outer, inner, eps, float(objective(x, inst_v))))
-            if delta < tol:
+            if fixed:
                 break
         rounded = hungarian(x)
         val = float(objective(rounded, inst_v))

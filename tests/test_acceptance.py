@@ -252,8 +252,7 @@ def test_c10_determinism(tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(
             '{"synth": {"n_inliers": 5, "d": 4, "classes": 5, "seed": 3},\n'
-            ' "train": {"epochs": 2, "n_layers": 1, "seed": 3, "m1": 1, "m2": 2},\n'
-            ' "solver": {"m1": 1, "m2": 2}}')
+            ' "train": {"epochs": 2, "n_layers": 1, "seed": 3, "m1": 1, "m2": 2}}')
         outputs = []
         for tag in ("one", "two"):
             data = str(tmp_path / f"data_{tag}.json")

@@ -18,7 +18,6 @@ def config_file(tmp_path):
         "synth": {"n_inliers": 5, "d": 4, "classes": 5, "feature_noise": 0.1,
                   "coord_jitter": 0.01, "seed": 3},
         "train": {"epochs": 2, "n_layers": 1, "seed": 3, "m1": 1, "m2": 2},
-        "solver": {"m1": 1, "m2": 2},
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -144,9 +143,8 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path, config_file):
     ("synth", {"synth": 5}, "'synth'"),
     ("train", {"train": [1, 2]}, "'train'"),
     ("match", {"solver": 5}, "'solver'"),
-    ("match", {"solver": {"m1": "3"}}, "m1"),
-    ("match", {"solver": {"infer_rounds": 2.5}}, "infer_rounds"),
-    ("match", {"solver": {"infer_rounds": -3}}, "infer_rounds"),
+    ("synth", {"synt": {}}, "'synt'"),
+    ("match", {"solver": {"m1": 3}}, "'solver'"),
 ])
 def test_bad_config_exit_code(tmp_path, capsys, command, config, fragment):
     cfg = tmp_path / "bad_config.json"

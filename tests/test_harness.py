@@ -190,13 +190,10 @@ class TestBenchmark:
         assert res.n_failures == 3
         assert res.mean_accuracy == 0.0
 
-    @pytest.mark.parametrize("bad", [{"m1": -1}, {"infer_rounds": -1}, {"m2": 2.5}])
-    def test_invalid_solver_args_raise_not_fail_pairs(self, small_params, bad):
-        pairs = gen_dataset(small_cfg(), 2)
+    def test_unknown_variant_raises_not_fail_pairs(self, small_params):
+        pairs = gen_dataset(small_cfg(), 3)
         with pytest.raises(InvalidInputError):
-            run_benchmark(pairs, small_params, **bad)
-        with pytest.raises(InvalidInputError):
-            match_pair(pairs[0], small_params, "full", **bad)
+            evaluate_pairs(pairs, small_params, "ful")
 
 
 class TestOutlierSweep:
@@ -219,9 +216,3 @@ class TestOutlierSweep:
         rows = outlier_sweep(pairs, small_params, ks=(0,), seed=7)
         direct = evaluate_pairs(pairs, small_params, "full")
         assert rows[0]["mean_accuracy"] == direct.mean_accuracy
-
-    @pytest.mark.parametrize("bad", [{"m1": -1}, {"infer_rounds": -1}, {"m2": 2.5}])
-    def test_invalid_solver_args_raise(self, small_params, bad):
-        pairs = gen_dataset(small_cfg(), 2)
-        with pytest.raises(InvalidInputError):
-            outlier_sweep(pairs, small_params, ks=(0, 1), seed=7, **bad)

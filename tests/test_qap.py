@@ -273,10 +273,17 @@ class TestFrankWolfeInfer:
         with pytest.raises(InvalidInputError):
             frank_wolfe_infer(ad.Var(np.eye(3)), inst)
 
-    def test_rejects_negative_round_count(self, rng):
-        inst = random_instance(rng, 3)
-        with pytest.raises(InvalidInputError):
-            frank_wolfe_infer(np.eye(3), inst, m=-3)
+    def test_fixed_point_stops_each_round_after_one_step(self, rng):
+        # the Hungarian direction at the unary's favoured permutation is that
+        # permutation, so each round breaks after one step and the repeated
+        # rounding ends the run after two rounds
+        n = 5
+        perm = np.eye(n)[rng.permutation(n)]
+        inst = QapInstance(np.zeros((n, n)), np.zeros((n, n)), perm + 0.01)
+        out, trace = frank_wolfe_infer(perm, inst)
+        np.testing.assert_array_equal(out, perm)
+        assert [(s.outer, s.inner) for s in trace.steps] == [(0, 0), (1, 0)]
+        assert trace.converged
 
     def test_trace_csv_format(self, rng):
         inst = random_instance(rng, 4)
