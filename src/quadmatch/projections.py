@@ -28,6 +28,20 @@ class SinkhornResult:
     iterations: int
 
 
+def _logsumexp(x: np.ndarray, axis: int, buf: np.ndarray) -> np.ndarray:
+    """``ad.logsumexp(x, axis, keepdims=True)`` on a plain array, through ``buf``.
+
+    The same ufuncs in the same order, so the same bits, with the n-by-n
+    temporary written into the caller's scratch buffer ``buf`` (clobbered).
+    """
+    top = np.maximum.reduce(x, axis=axis, keepdims=True)
+    np.subtract(x, top, out=buf)
+    np.exp(buf, out=buf)
+    total = np.add.reduce(buf, axis=axis, keepdims=True)
+    np.log(total, out=total)
+    return np.add(top, total, out=total)
+
+
 def sinkhorn(m, max_iter: int = SINKHORN_MAX_ITER, tol: float = SINKHORN_TOL, *,
              log_input: bool = False) -> SinkhornResult:
     """Alternating row/column normalization toward a doubly-stochastic matrix.
@@ -38,15 +52,21 @@ def sinkhorn(m, max_iter: int = SINKHORN_MAX_ITER, tol: float = SINKHORN_TOL, *,
     already, which lets affinities too spread out to exponentiate pass
     through without underflowing to zero. Iteration stops once every row and
     column sum is within ``tol`` of 1, or after ``max_iter`` rounds, in which
-    case the best iterate is returned with ``converged`` False. ``tol <= 0``
+    case the last iterate is returned with ``converged`` False. ``tol <= 0``
     disables the check and unrolls exactly ``max_iter`` rounds, which keeps
-    the map smooth for differentiation.
+    the map smooth for differentiation. The argument is never written to.
 
-    On the training tape the whole normalization is one node: the forward
-    pass runs in numpy and keeps every normalized log iterate (up to
-    ``2 * max_iter`` n-by-n arrays, held only while the tape lives), and the
-    backward pass replays them in reverse. Its gradient is bit for bit the
-    one a tape holding one node per operation of the loop gives.
+    Each half-step subtracts the log-sum-exp along one axis, computed by
+    direct ufunc calls through one reused scratch buffer; off the tape the
+    log iterate is a private copy updated in place, so a call allocates a
+    fixed handful of n-by-n arrays whatever ``max_iter`` is.
+
+    On the training tape the whole normalization is one node: each half-step
+    writes a new array, because the forward pass keeps every normalized log
+    iterate (up to ``2 * max_iter`` n-by-n arrays, held only while the tape
+    lives), and the backward pass replays them in reverse through one
+    scratch buffer. Its gradient is bit for bit the one a tape holding one
+    node per operation of the loop gives.
     """
     mv = ad.value(m)
     if mv.ndim != 2 or mv.shape[0] != mv.shape[1] or mv.shape[0] < 1:
@@ -58,30 +78,34 @@ def sinkhorn(m, max_iter: int = SINKHORN_MAX_ITER, tol: float = SINKHORN_TOL, *,
 
     on_tape = isinstance(m, ad.Var)
     iterates = []  # (axis, normalized log iterate) per half-step, tape only
-    log_x = mv if log_input else np.log(mv)
+    log_x = np.array(mv) if log_input else np.log(mv)
+    buf = np.empty_like(log_x)
     converged = tol <= 0.0
     iterations = 0
     for i in range(max_iter):
         for axis in (1, 0):
-            log_x = log_x - ad.logsumexp(log_x, axis=axis, keepdims=True)
+            lse = _logsumexp(log_x, axis, buf)
+            log_x = np.subtract(log_x, lse, out=None if on_tape else log_x)
             if on_tape:
                 iterates.append((axis, log_x))
         iterations = i + 1
         if tol > 0.0:
-            row_dev = np.abs(np.exp(ad.logsumexp(log_x, axis=1)) - 1.0).max()
-            col_dev = np.abs(np.exp(ad.logsumexp(log_x, axis=0)) - 1.0).max()
+            row_dev = np.abs(np.exp(_logsumexp(log_x, 1, buf)) - 1.0).max()
+            col_dev = np.abs(np.exp(_logsumexp(log_x, 0, buf)) - 1.0).max()
             if max(row_dev, col_dev) < tol:
                 converged = True
                 break
-    out = np.exp(log_x)
     if not on_tape:
-        return SinkhornResult(out, converged, iterations)
+        return SinkhornResult(np.exp(log_x, out=log_x), converged, iterations)
+    out = np.exp(log_x)
 
     def bw(g):
         # reverse of log_x <- log_x - lse(log_x): g <- g - softmax * sum(g)
         g = g * out
         for axis, y in reversed(iterates[1:] if log_input else iterates):
-            g = g - np.exp(y) * g.sum(axis=axis, keepdims=True)
+            total = np.add.reduce(g, axis=axis, keepdims=True)
+            np.multiply(np.exp(y, out=buf), total, out=buf)
+            np.subtract(g, buf, out=g)
         if not log_input:
             m.grad += g / mv
             return

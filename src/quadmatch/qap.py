@@ -156,11 +156,17 @@ def frank_wolfe_infer(x0, inst: QapInstance):
     tracked across the run, starting from the plain rounding of ``x0``, so
     the returned objective never exceeds the initialization's.
     Stops early once the rounded iterate repeats between rounds.
+
+    Each step forms ``x @ B`` and the residual ``A - x B x^T`` once, after
+    its update, and takes from them both the traced objective and the next
+    step's gradient; the arithmetic is that of ``objective`` and of
+    ``fw_direction`` in inference mode, so every value is the same bits.
     """
     if isinstance(x0, ad.Var):
         raise InvalidInputError("inference solver is not differentiable; pass a plain array")
     x = np.asarray(x0, dtype=float)
     inst_v = inst.values()
+    a, b, u = inst_v.a_d, inst_v.b_d, inst_v.x_u
     trace = SolveTrace(converged=False)
 
     best = hungarian(x)
@@ -168,12 +174,17 @@ def frank_wolfe_infer(x0, inst: QapInstance):
 
     prev_rounded = None
     for outer in range(FW_INFER_ROUNDS):
+        xb = x @ b
+        r = a - xb @ x.T
         for inner in range(FW_INFER_MAX_INNER):
             eps = fw_step_size(inner)
-            s = fw_direction(x, inst_v, "inference")
+            g = -2.0 * (r.T @ xb + r @ (x @ b.T)) - u
+            s = hungarian(-g)
             fixed = np.array_equal(s, x)
             x = x - eps * (x - s)
-            trace.steps.append(TraceStep(outer, inner, eps, float(objective(x, inst_v))))
+            xb = x @ b
+            r = a - xb @ x.T
+            trace.steps.append(TraceStep(outer, inner, eps, float(np.sum(r * r) - np.sum(u * x))))
             if fixed:
                 break
         rounded = hungarian(x)

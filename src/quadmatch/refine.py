@@ -169,7 +169,6 @@ def refine_pipeline(p_a, p_b, adj_a, adj_b, params: ParameterSet, *, kernel_eps:
 class AffinityResult:
     matrix: object      # positive affinity (may underflow to 0 in float)
     log_matrix: object  # shifted exponent: log of the affinity, always finite
-    log_shift: float    # global max subtracted from the exponent
 
 
 def node_affinity(p_a, p_b, w_aff) -> AffinityResult:
@@ -186,9 +185,8 @@ def node_affinity(p_a, p_b, w_aff) -> AffinityResult:
     exponent = (p_a @ w_aff) @ ad.transpose(p_b)
     if not np.all(np.isfinite(ad.value(exponent))):
         raise InvalidInputError("affinity exponent is not finite")
-    shift = ad.amax(exponent)
-    log_matrix = exponent - shift
-    return AffinityResult(ad.exp(log_matrix), log_matrix, float(ad.value(shift)))
+    log_matrix = exponent - ad.amax(exponent)
+    return AffinityResult(ad.exp(log_matrix), log_matrix)
 
 
 def init_assignment(affinity, *, max_iter: int = SINKHORN_MAX_ITER, tol: float = SINKHORN_TOL):

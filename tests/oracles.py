@@ -5,8 +5,10 @@ from scipy.optimize import linear_sum_assignment
 
 from quadmatch import autodiff as ad
 from quadmatch.losses import LossConfig, permutation_to_matrix
-from quadmatch.projections import SINKHORN_MAX_ITER, SINKHORN_TOL, SinkhornResult
-from quadmatch.qap import FW_TRAIN_INNER, FW_TRAIN_OUTER
+from quadmatch.projections import SINKHORN_MAX_ITER, SINKHORN_TOL, SinkhornResult, hungarian
+from quadmatch.qap import (FW_INFER_MAX_INNER, FW_INFER_ROUNDS, FW_TRAIN_INNER, FW_TRAIN_OUTER,
+                           QapInstance, SolveTrace, TraceStep, fw_direction, fw_step_size,
+                           objective)
 from quadmatch.refine import TRAIN_KERNEL_EPS
 from quadmatch.train import _loss_fn, forward
 
@@ -71,6 +73,43 @@ def unrolled_sinkhorn(m, max_iter: int = SINKHORN_MAX_ITER, tol: float = SINKHOR
                 converged = True
                 break
     return SinkhornResult(ad.exp(log_x), converged, iterations)
+
+
+def stepwise_frank_wolfe_infer(x0, inst: QapInstance):
+    """Discrete Frank-Wolfe built from the public per-step functions.
+
+    Same rounds, steps, stopping rules and trace as ``qap.frank_wolfe_infer``,
+    but each step calls ``fw_direction`` for the Hungarian direction and
+    ``objective`` for the traced value, so the residual is formed afresh in
+    each of them.
+    """
+    x = np.asarray(x0, dtype=float)
+    inst_v = inst.values()
+    trace = SolveTrace(converged=False)
+
+    best = hungarian(x)
+    best_val = float(objective(best, inst_v))
+
+    prev_rounded = None
+    for outer in range(FW_INFER_ROUNDS):
+        for inner in range(FW_INFER_MAX_INNER):
+            eps = fw_step_size(inner)
+            s = fw_direction(x, inst_v, "inference")
+            fixed = np.array_equal(s, x)
+            x = x - eps * (x - s)
+            trace.steps.append(TraceStep(outer, inner, eps, float(objective(x, inst_v))))
+            if fixed:
+                break
+        rounded = hungarian(x)
+        val = float(objective(rounded, inst_v))
+        if val < best_val:
+            best, best_val = rounded, val
+        if prev_rounded is not None and np.array_equal(rounded, prev_rounded):
+            trace.converged = True
+            break
+        prev_rounded = rounded
+        x = rounded
+    return best, trace
 
 
 def finite_difference_grad(pair, params, loss_cfg: LossConfig, *, loss: str = "false_matching",

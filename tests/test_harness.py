@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from oracles import stepwise_frank_wolfe_infer, unrolled_sinkhorn
 
+from quadmatch import bench, qap, refine
 from quadmatch.bench import (VARIANTS, evaluate_pairs, match_pair, outlier_sweep,
                              run_benchmark, sweep_to_csv)
 from quadmatch.errors import InvalidInputError
@@ -194,6 +196,29 @@ class TestBenchmark:
         pairs = gen_dataset(small_cfg(), 3)
         with pytest.raises(InvalidInputError):
             evaluate_pairs(pairs, small_params, "ful")
+
+    def test_inference_matches_stepwise_oracles(self, monkeypatch):
+        # infer-ambiguous pairs (n=10) and one infer-outliers pair (n=24)
+        pairs = (gen_dataset(ambiguous_config(seed=3), 3)
+                 + gen_dataset(easy_config(seed=3, n_inliers=16, n_outliers=8), 1))
+
+        def run():
+            out = []
+            for pair in pairs:
+                params = init_parameters(pair.a.attributes.shape[1], n_layers=2, seed=3)
+                out.append(match_pair(pair, params, "full"))
+            return out
+
+        shipped = run()
+        monkeypatch.setattr(qap, "sinkhorn", unrolled_sinkhorn)
+        monkeypatch.setattr(refine, "sinkhorn", unrolled_sinkhorn)
+        monkeypatch.setattr(bench, "frank_wolfe_infer", stepwise_frank_wolfe_infer)
+        oracle = run()
+        assert pairs[-1].a.n == 24
+        for r, r_o in zip(shipped, oracle):
+            np.testing.assert_array_equal(r.permutation, r_o.permutation)
+            assert r.objective == r_o.objective
+            assert r.trace.to_csv() == r_o.trace.to_csv()
 
 
 class TestOutlierSweep:

@@ -101,7 +101,7 @@ class TestSinkhorn:
         assert res.iterations == 7
         assert res.converged
 
-    @given(n=st.integers(1, 12), log_input=st.booleans(), max_iter=st.integers(0, 60),
+    @given(n=st.integers(1, 24), log_input=st.booleans(), max_iter=st.integers(0, 60),
            tol=st.sampled_from([0.0, 1e-6]), seed=st.integers(0, 10_000))
     def test_tape_matches_unrolled_oracle(self, n, log_input, max_iter, tol, seed):
         rng = np.random.default_rng(seed)
@@ -121,6 +121,18 @@ class TestSinkhorn:
         plain = sinkhorn(m, max_iter=max_iter, tol=tol, log_input=log_input).matrix
         assert isinstance(plain, np.ndarray)
         np.testing.assert_array_equal(plain, x_o)
+
+    @pytest.mark.parametrize("on_tape", [False, True])
+    @pytest.mark.parametrize("log_input", [False, True])
+    def test_input_left_unchanged(self, rng, log_input, on_tape):
+        # off the tape the log iterate is updated in place: it must be a copy
+        m = rng.normal(size=(6, 6)) if log_input else positive_matrix(rng, 6)
+        before = m.copy()
+        arg = ad.Var(m) if on_tape else m
+        res = sinkhorn(arg, max_iter=10, tol=1e-6, log_input=log_input)
+        if on_tape:
+            ad.asum(res.matrix * rng.normal(size=(6, 6))).backward()
+        np.testing.assert_array_equal(m, before)  # a Var's data is m itself
 
     def test_tape_result_is_one_node(self, rng):
         leaf = ad.Var(positive_matrix(rng, 4))

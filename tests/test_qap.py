@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import stepwise_frank_wolfe_infer
 from quadmatch import autodiff as ad
 from quadmatch.errors import InvalidInputError
 from quadmatch.projections import hungarian, sinkhorn
@@ -292,3 +293,32 @@ class TestFrankWolfeInfer:
         csv = trace.to_csv()
         assert csv.splitlines()[0] == "outer,inner,epsilon,objective"
         assert len(csv.splitlines()) == len(trace.steps) + 1
+
+    @given(n=st.integers(1, 24), start=st.sampled_from(["sinkhorn", "doubly_stochastic", "fixed"]),
+           seed=st.integers(0, 10_000))
+    def test_matches_stepwise_oracle(self, n, start, seed):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, n)
+        if start == "sinkhorn":
+            x0 = ad.value(sinkhorn(np.exp(rng.normal(scale=3.0, size=(n, n)))).matrix)
+        elif start == "doubly_stochastic":
+            w = rng.dirichlet(np.ones(4))
+            x0 = sum(wk * np.eye(n)[rng.permutation(n)] for wk in w)
+        else:
+            # a dominant unary makes this permutation its own Hungarian direction
+            x0 = np.eye(n)[rng.permutation(n)]
+            inst = QapInstance(inst.a_d, inst.b_d, inst.x_u + 1e4 * x0)
+            np.testing.assert_array_equal(fw_direction(x0, inst, "inference"), x0)
+        out, trace = frank_wolfe_infer(x0, inst)
+        out_o, trace_o = stepwise_frank_wolfe_infer(x0, inst)
+        np.testing.assert_array_equal(out, out_o)
+        assert trace.to_csv() == trace_o.to_csv()
+        assert trace.converged == trace_o.converged
+
+    def test_arguments_left_unchanged(self, rng):
+        inst = random_instance(rng, 7)
+        x0 = random_doubly_stochastic(rng, 7)
+        before = [x0.copy(), inst.a_d.copy(), inst.b_d.copy(), inst.x_u.copy()]
+        frank_wolfe_infer(x0, inst)
+        for arr, kept in zip([x0, inst.a_d, inst.b_d, inst.x_u], before):
+            np.testing.assert_array_equal(arr, kept)

@@ -114,20 +114,23 @@ class TestNodeAffinity:
         p_b = rng.normal(size=(4, 3))
         res = node_affinity(p_a, p_b, np.zeros((3, 3)))
         np.testing.assert_allclose(ad.value(res.matrix), np.ones((4, 4)))
-        assert res.log_shift == 0.0
+        np.testing.assert_array_equal(ad.value(res.log_matrix), np.zeros((4, 4)))
 
     def test_identity_metric_orthonormal(self):
         res = node_affinity(np.eye(2), np.eye(2), np.eye(2))
         m = ad.value(res.matrix)
         assert np.argmax(m[0]) == 0 and np.argmax(m[1]) == 1
-        np.testing.assert_allclose(np.log(m) + res.log_shift, np.eye(2), atol=1e-12)
+        # the exponent is eye(2), shifted down by its maximum 1
+        np.testing.assert_allclose(ad.value(res.log_matrix), np.eye(2) - 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.log(m), np.eye(2) - 1.0, atol=1e-12)
 
     def test_log_matrix_consistency(self, rng):
         p_a, p_b = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
         w = rng.normal(size=(4, 4))
         res = node_affinity(p_a, p_b, w)
-        np.testing.assert_allclose(ad.value(res.log_matrix) + res.log_shift,
-                                   p_a @ w @ p_b.T, atol=1e-12)
+        exponent = p_a @ w @ p_b.T
+        np.testing.assert_allclose(ad.value(res.log_matrix) + exponent.max(), exponent,
+                                   atol=1e-12)
         assert np.all(ad.value(res.matrix) > 0.0)
         assert ad.value(res.log_matrix).max() == 0.0
 
