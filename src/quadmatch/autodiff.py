@@ -314,21 +314,3 @@ def amax(a, axis=None, keepdims=False):
             a.grad += mask * gg
 
     return Var(out, (a,), bw)
-
-
-def logsumexp(a, axis: int, keepdims: bool = False):
-    """Fused log-sum-exp reduction; backward is the softmax along ``axis``."""
-    av = value(a)
-    m = np.max(av, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(av - m), axis=axis, keepdims=True))
-    if not isinstance(a, Var):
-        return out if keepdims else np.squeeze(out, axis=axis)
-    soft = np.exp(av - out)
-
-    def bw(g):
-        gg = np.asarray(g)
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
-        a.grad += soft * gg
-
-    return Var(out if keepdims else np.squeeze(out, axis=axis), (a,), bw)

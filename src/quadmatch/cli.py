@@ -12,8 +12,8 @@ the corresponding dataclass fields; any other top-level key is an error.
 Inference (match, eval, bench-robust) runs at fixed solver settings: a
 smooth Frank-Wolfe warm start at m1=3, m2=5, tau=1.0, then at most 10
 discrete rounds of at most 50 Hungarian steps each; the run stops on a
-repeated rounding. Exit codes: 0 success, 1 invalid input, 2 numerical
-failure.
+repeated rounding. Exit codes: 0 success, 1 invalid input or usage, 2
+numerical failure.
 """
 
 from __future__ import annotations
@@ -191,8 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
+        return 0 if exc.code == 0 else 1
     try:
         args.func(args)
     except NumericalFailureError as exc:

@@ -162,9 +162,9 @@ def linear_kernel(p, *, eps: float = 0.0):
     """Cosine similarity matrix of attribute rows.
 
     Rows are L2-normalized first, so entries lie in [-1, 1] with a unit
-    diagonal. A strictly positive ``eps`` is added to the row norms (used
-    during training where rectified attributes can collapse to zero);
-    otherwise a zero-norm row is rejected.
+    diagonal. The refinement pipeline adds ``refine.KERNEL_EPS`` to the row
+    norms, so rows that collapse to zero give zero kernel rows; at the
+    default ``eps`` 0 the kernel is exact and a zero-norm row is rejected.
     """
     pv = ad.value(p)
     if pv.ndim != 2:

@@ -29,10 +29,10 @@ class SinkhornResult:
 
 
 def _logsumexp(x: np.ndarray, axis: int, buf: np.ndarray) -> np.ndarray:
-    """``ad.logsumexp(x, axis, keepdims=True)`` on a plain array, through ``buf``.
+    """Log-sum-exp along ``axis``, kept as a size-1 axis, through ``buf``.
 
-    The same ufuncs in the same order, so the same bits, with the n-by-n
-    temporary written into the caller's scratch buffer ``buf`` (clobbered).
+    The ufuncs of the oracle ``logsumexp`` in the same order, so the same
+    bits, with the n-by-n temporary in the scratch buffer ``buf`` (clobbered).
     """
     top = np.maximum.reduce(x, axis=axis, keepdims=True)
     np.subtract(x, top, out=buf)

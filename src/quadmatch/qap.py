@@ -101,22 +101,17 @@ def fw_step_size(k: int) -> float:
     return 2.0 / (k + 2)
 
 
-def fw_direction(x, inst: QapInstance, mode: str, *, tau: float = 1.0):
-    """Feasible descent target for the linearized objective.
+def fw_direction(x, inst: QapInstance, *, tau: float = 1.0):
+    """Smooth descent target for the linearized objective.
 
-    Inference takes the exact minimizer over permutations (Hungarian on the
-    negated gradient); training takes a smooth surrogate, the Sinkhorn
-    projection of ``exp(-grad / tau)`` at a fixed iteration count. The
+    The Sinkhorn projection of ``exp(-grad / tau)`` at a fixed iteration
+    count, a differentiable surrogate for the exact minimizer over
+    permutations that ``frank_wolfe_infer`` takes with Hungarian. The
     benefit ``-grad`` is globally shifted by its maximum before
     exponentiating, which cannot overflow and leaves the Sinkhorn fixed point
     unchanged (a global scaling).
     """
-    g = objective_gradient(x, inst)
-    if mode == "inference":
-        return hungarian(-ad.value(g))
-    if mode != "training":
-        raise InvalidInputError(f"unknown direction mode: {mode!r}")
-    benefit = -g
+    benefit = -objective_gradient(x, inst)
     log_dir = (benefit - ad.amax(benefit)) / tau
     return sinkhorn(log_dir, tol=0.0, log_input=True).matrix
 
@@ -139,7 +134,7 @@ def frank_wolfe_train(x0, inst: QapInstance, m1: int = FW_TRAIN_OUTER, m2: int =
     for outer in range(m1):
         for inner in range(m2):
             eps = fw_step_size(inner)
-            s = fw_direction(x, inst, "training", tau=tau)
+            s = fw_direction(x, inst, tau=tau)
             x = x - eps * (x - s)
             trace.steps.append(TraceStep(outer, inner, eps, float(objective(ad.value(x), inst_v))))
         x = sinkhorn(x, tol=0.0).matrix
@@ -160,7 +155,8 @@ def frank_wolfe_infer(x0, inst: QapInstance):
     Each step forms ``x @ B`` and the residual ``A - x B x^T`` once, after
     its update, and takes from them both the traced objective and the next
     step's gradient; the arithmetic is that of ``objective`` and of
-    ``fw_direction`` in inference mode, so every value is the same bits.
+    ``hungarian(-objective_gradient(x, inst))``, so every value is the same
+    bits.
     """
     if isinstance(x0, ad.Var):
         raise InvalidInputError("inference solver is not differentiable; pass a plain array")

@@ -16,10 +16,10 @@ import numpy as np
 from . import autodiff as ad
 from .errors import InvalidInputError
 from .graphs import weighted_adjacency
-from .projections import SINKHORN_MAX_ITER, SINKHORN_TOL, sinkhorn
+from .projections import sinkhorn
 
 DEFAULT_LAYERS = 2
-TRAIN_KERNEL_EPS = 1e-8
+KERNEL_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -149,19 +149,19 @@ def gcn_layer(p, a_d, w_r, w_s):
     return ad.relu((a_d @ p) @ w_r + p @ w_s)
 
 
-def refine_pipeline(p_a, p_b, adj_a, adj_b, params: ParameterSet, *, kernel_eps: float = 0.0):
+def refine_pipeline(p_a, p_b, adj_a, adj_b, params: ParameterSet):
     """Alternate GCN updates and adjacency reweighting over both graphs.
 
     Returns the final attributes and the final weighted adjacencies
     (the initial reweighting when the parameter set has no layers).
     """
-    a_d = weighted_adjacency(p_a, adj_a, eps=kernel_eps)
-    b_d = weighted_adjacency(p_b, adj_b, eps=kernel_eps)
+    a_d = weighted_adjacency(p_a, adj_a, eps=KERNEL_EPS)
+    b_d = weighted_adjacency(p_b, adj_b, eps=KERNEL_EPS)
     for w_r, w_s in zip(params.w_r, params.w_s):
         p_a = gcn_layer(p_a, a_d, w_r, w_s)
         p_b = gcn_layer(p_b, b_d, w_r, w_s)
-        a_d = weighted_adjacency(p_a, adj_a, eps=kernel_eps)
-        b_d = weighted_adjacency(p_b, adj_b, eps=kernel_eps)
+        a_d = weighted_adjacency(p_a, adj_a, eps=KERNEL_EPS)
+        b_d = weighted_adjacency(p_b, adj_b, eps=KERNEL_EPS)
     return p_a, p_b, a_d, b_d
 
 
@@ -182,19 +182,15 @@ def node_affinity(p_a, p_b, w_aff) -> AffinityResult:
     pa, pb, w = ad.value(p_a), ad.value(p_b), ad.value(w_aff)
     if pa.shape[1] != w.shape[0] or pb.shape[1] != w.shape[1]:
         raise InvalidInputError("node_affinity dimension mismatch")
-    exponent = (p_a @ w_aff) @ ad.transpose(p_b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = (p_a @ w_aff) @ ad.transpose(p_b)
     if not np.all(np.isfinite(ad.value(exponent))):
         raise InvalidInputError("affinity exponent is not finite")
     log_matrix = exponent - ad.amax(exponent)
     return AffinityResult(ad.exp(log_matrix), log_matrix)
 
 
-def init_assignment(affinity, *, max_iter: int = SINKHORN_MAX_ITER, tol: float = SINKHORN_TOL):
-    """Sinkhorn projection of the affinity matrix: the solver's start point.
-
-    Accepts either a positive matrix or an AffinityResult; the latter is
-    normalized in the log domain from the shifted exponent.
-    """
-    if isinstance(affinity, AffinityResult):
-        return sinkhorn(affinity.log_matrix, max_iter=max_iter, tol=tol, log_input=True).matrix
-    return sinkhorn(affinity, max_iter=max_iter, tol=tol).matrix
+def init_assignment(affinity: AffinityResult):
+    """Sinkhorn projection of the affinity's shifted exponent, unrolled at a
+    fixed iteration count: the solver's smooth start point."""
+    return sinkhorn(affinity.log_matrix, tol=0.0, log_input=True).matrix

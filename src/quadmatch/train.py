@@ -21,8 +21,8 @@ from .losses import (LossConfig, accuracy, cross_entropy_loss, false_matching_lo
                      permutation_to_matrix)
 from .projections import hungarian
 from .qap import FW_TRAIN_INNER, FW_TRAIN_OUTER, QapInstance, SolveTrace, frank_wolfe_train
-from .refine import (TRAIN_KERNEL_EPS, ParameterSet, init_assignment, init_parameters,
-                     node_affinity, refine_pipeline)
+from .refine import (ParameterSet, init_assignment, init_parameters, node_affinity,
+                     refine_pipeline)
 
 LOSSES = ("false_matching", "cross_entropy")
 
@@ -52,6 +52,10 @@ class TrainConfig:
             raise InvalidInputError("m1 and m2 must be non-negative")
         if self.loss not in LOSSES:
             raise InvalidInputError(f"loss must be one of {LOSSES}")
+        if not self.tau > 0:
+            raise InvalidInputError("tau must be positive")
+        if self.grad_cap is not None and not self.grad_cap > 0:
+            raise InvalidInputError("grad_cap must be positive or None")
 
 
 @dataclass
@@ -87,7 +91,7 @@ class ForwardResult:
 
 def forward(pair: GraphPair, params: ParameterSet, *,
             m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER, tau: float = 1.0,
-            kernel_eps: float = 0.0, use_binary_adjacency: bool = False) -> ForwardResult:
+            use_binary_adjacency: bool = False) -> ForwardResult:
     """Refine attributes, build the affinity, project, and run smooth FW.
 
     With ``m1`` 0 the solver is bypassed and the Sinkhorn-projected affinity
@@ -98,14 +102,13 @@ def forward(pair: GraphPair, params: ParameterSet, *,
     if pair.a.n != pair.b.n:
         raise InvalidInputError("forward requires graphs of equal size")
     p_a, p_b, a_d, b_d = refine_pipeline(
-        pair.a.attributes, pair.b.attributes, pair.a.adjacency, pair.b.adjacency,
-        params, kernel_eps=kernel_eps)
+        pair.a.attributes, pair.b.attributes, pair.a.adjacency, pair.b.adjacency, params)
     aff = node_affinity(p_a, p_b, params.w_aff)
     if use_binary_adjacency:
         inst = QapInstance(pair.a.adjacency, pair.b.adjacency, aff.matrix)
     else:
         inst = QapInstance(a_d, b_d, aff.matrix)
-    x0 = init_assignment(aff, tol=0.0)
+    x0 = init_assignment(aff)
     x, trace = frank_wolfe_train(x0, inst, m1, m2, tau=tau)
     return ForwardResult(x, trace, inst)
 
@@ -132,7 +135,7 @@ def grad_params(pair: GraphPair, params: ParameterSet, loss_cfg: LossConfig, *,
     loss_f = _loss_fn(loss)
     lifted, leaves = params.lift()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        res = forward(pair, lifted, m1=m1, m2=m2, tau=tau, kernel_eps=TRAIN_KERNEL_EPS)
+        res = forward(pair, lifted, m1=m1, m2=m2, tau=tau)
         x_val = np.array(ad.value(res.assignment))
         if not np.all(np.isfinite(x_val)):
             raise NumericalFailureError("forward produced non-finite assignment", stage="forward")

@@ -7,9 +7,8 @@ from quadmatch import autodiff as ad
 from quadmatch.losses import LossConfig, permutation_to_matrix
 from quadmatch.projections import SINKHORN_MAX_ITER, SINKHORN_TOL, SinkhornResult, hungarian
 from quadmatch.qap import (FW_INFER_MAX_INNER, FW_INFER_ROUNDS, FW_TRAIN_INNER, FW_TRAIN_OUTER,
-                           QapInstance, SolveTrace, TraceStep, fw_direction, fw_step_size,
-                           objective)
-from quadmatch.refine import TRAIN_KERNEL_EPS
+                           QapInstance, SolveTrace, TraceStep, fw_step_size, objective,
+                           objective_gradient)
 from quadmatch.train import _loss_fn, forward
 
 FD_STEP = 1e-5
@@ -50,6 +49,28 @@ def _lap_value(s: np.ndarray) -> float:
     return float(s[rows, cols].sum())
 
 
+def logsumexp(a, axis: int, keepdims: bool = False):
+    """Fused log-sum-exp reduction; backward is the softmax along ``axis``.
+
+    On a plain array this is the ufunc sequence ``projections.sinkhorn``
+    runs per half-step, so the unrolled oracle below reproduces its bits.
+    """
+    av = ad.value(a)
+    m = np.max(av, axis=axis, keepdims=True)
+    out = m + np.log(np.sum(np.exp(av - m), axis=axis, keepdims=True))
+    if not isinstance(a, ad.Var):
+        return out if keepdims else np.squeeze(out, axis=axis)
+    soft = np.exp(av - out)
+
+    def bw(g):
+        gg = np.asarray(g)
+        if not keepdims:
+            gg = np.expand_dims(gg, axis)
+        a.grad += soft * gg
+
+    return ad.Var(out if keepdims else np.squeeze(out, axis=axis), (a,), bw)
+
+
 def unrolled_sinkhorn(m, max_iter: int = SINKHORN_MAX_ITER, tol: float = SINKHORN_TOL, *,
                       log_input: bool = False) -> SinkhornResult:
     """Sinkhorn normalization built from tape primitives, one node per operation.
@@ -62,13 +83,13 @@ def unrolled_sinkhorn(m, max_iter: int = SINKHORN_MAX_ITER, tol: float = SINKHOR
     converged = tol <= 0.0
     iterations = 0
     for i in range(max_iter):
-        log_x = log_x - ad.logsumexp(log_x, axis=1, keepdims=True)
-        log_x = log_x - ad.logsumexp(log_x, axis=0, keepdims=True)
+        log_x = log_x - logsumexp(log_x, axis=1, keepdims=True)
+        log_x = log_x - logsumexp(log_x, axis=0, keepdims=True)
         iterations = i + 1
         if tol > 0.0:
             lv = ad.value(log_x)
-            row_dev = np.abs(np.exp(ad.logsumexp(lv, axis=1)) - 1.0).max()
-            col_dev = np.abs(np.exp(ad.logsumexp(lv, axis=0)) - 1.0).max()
+            row_dev = np.abs(np.exp(logsumexp(lv, axis=1)) - 1.0).max()
+            col_dev = np.abs(np.exp(logsumexp(lv, axis=0)) - 1.0).max()
             if max(row_dev, col_dev) < tol:
                 converged = True
                 break
@@ -79,7 +100,7 @@ def stepwise_frank_wolfe_infer(x0, inst: QapInstance):
     """Discrete Frank-Wolfe built from the public per-step functions.
 
     Same rounds, steps, stopping rules and trace as ``qap.frank_wolfe_infer``,
-    but each step calls ``fw_direction`` for the Hungarian direction and
+    but each step takes the Hungarian direction from ``objective_gradient`` and
     ``objective`` for the traced value, so the residual is formed afresh in
     each of them.
     """
@@ -94,7 +115,7 @@ def stepwise_frank_wolfe_infer(x0, inst: QapInstance):
     for outer in range(FW_INFER_ROUNDS):
         for inner in range(FW_INFER_MAX_INNER):
             eps = fw_step_size(inner)
-            s = fw_direction(x, inst_v, "inference")
+            s = hungarian(-objective_gradient(x, inst_v))
             fixed = np.array_equal(s, x)
             x = x - eps * (x - s)
             trace.steps.append(TraceStep(outer, inner, eps, float(objective(x, inst_v))))
@@ -126,7 +147,7 @@ def finite_difference_grad(pair, params, loss_cfg: LossConfig, *, loss: str = "f
 
     def run(flat_vec: np.ndarray) -> np.ndarray:
         p = params.replace_flat(flat_vec)
-        return forward(pair, p, m1=m1, m2=m2, tau=tau, kernel_eps=TRAIN_KERNEL_EPS).assignment
+        return forward(pair, p, m1=m1, m2=m2, tau=tau).assignment
 
     theta = params.flatten()
     x_val = run(theta)

@@ -110,6 +110,21 @@ def test_identical_runs_byte_identical(tmp_path, config_file):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["eval"], ["frobnicate"], ["synth", "--out", "d.json", "--n-pairs", "three"],
+])
+def test_usage_error_exit_code(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exit_code(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_invalid_input_exit_code(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert main(["eval", "--data", missing, "--checkpoint", missing,
@@ -145,6 +160,8 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path, config_file):
     ("match", {"solver": 5}, "'solver'"),
     ("synth", {"synt": {}}, "'synt'"),
     ("match", {"solver": {"m1": 3}}, "'solver'"),
+    ("train", {"train": {"tau": -1.0}}, "tau"),
+    ("train", {"train": {"grad_cap": 0}}, "grad_cap"),
 ])
 def test_bad_config_exit_code(tmp_path, capsys, command, config, fragment):
     cfg = tmp_path / "bad_config.json"

@@ -1,5 +1,7 @@
 """Synthetic generation, outlier injection, and the benchmark report."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from oracles import stepwise_frank_wolfe_infer, unrolled_sinkhorn
@@ -8,7 +10,7 @@ from quadmatch import bench, qap, refine
 from quadmatch.bench import (VARIANTS, evaluate_pairs, match_pair, outlier_sweep,
                              run_benchmark, sweep_to_csv)
 from quadmatch.errors import InvalidInputError
-from quadmatch.refine import init_parameters
+from quadmatch.refine import ParameterSet, init_parameters
 from quadmatch.synth import (SynthConfig, ambiguous_config, easy_config,
                              gen_dataset, gen_synthetic_pair, inject_outliers)
 
@@ -181,16 +183,22 @@ class TestBenchmark:
         b = run_benchmark(pairs, small_params).to_csv()
         assert a == b
 
-    def test_per_pair_failures_recorded_and_run_continues(self):
-        # zero weights collapse the rectified attributes, so the strict
-        # inference kernel rejects the pair; the run must keep going
-        from quadmatch.refine import ParameterSet
-        zero = np.zeros((8, 8))
-        broken = ParameterSet((zero,), (zero,), np.eye(8))
+    def test_per_pair_failures_recorded_and_run_continues(self, small_params):
+        # the affinity exponent overflows, so every pair is rejected; the run
+        # must keep going
+        broken = replace(small_params, w_aff=1e308 * np.eye(8))
         pairs = gen_dataset(small_cfg(), 3)
         res = evaluate_pairs(pairs, broken, "full")
         assert res.n_failures == 3
         assert res.mean_accuracy == 0.0
+
+    def test_zero_gcn_weights_still_match(self):
+        # the rectifier collapses every attribute row to zero; the kernel
+        # epsilon keeps the adjacencies finite (all zero) at inference too
+        zero = np.zeros((8, 8))
+        pair = gen_synthetic_pair(small_cfg())
+        res = match_pair(pair, ParameterSet((zero,), (zero,), np.eye(8)), "full")
+        assert sorted(res.permutation.tolist()) == list(range(pair.b.n))
 
     def test_unknown_variant_raises_not_fail_pairs(self, small_params):
         pairs = gen_dataset(small_cfg(), 3)

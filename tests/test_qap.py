@@ -138,18 +138,10 @@ class TestStepSize:
 
 
 class TestDirection:
-    def test_diagonal_benefit_inference(self, rng):
-        inst = random_instance(rng, 4)
-        x = random_doubly_stochastic(rng, 4)
-        # force the gradient via a crafted instance is heavy; check the contract
-        # directly: hungarian of the negated gradient
-        g = objective_gradient(x, inst)
-        np.testing.assert_array_equal(fw_direction(x, inst, "inference"), hungarian(-g))
-
     def test_constant_gradient_training_uniform(self):
         inst = QapInstance(np.zeros((3, 3)), np.zeros((3, 3)), np.full((3, 3), 0.7))
         x = np.full((3, 3), 1 / 3)
-        s = fw_direction(x, inst, "training")
+        s = fw_direction(x, inst)
         np.testing.assert_allclose(ad.value(s), np.full((3, 3), 1 / 3), atol=1e-9)
 
     @given(seed=st.integers(0, 500), n=st.integers(2, 6))
@@ -158,7 +150,7 @@ class TestDirection:
         inst = random_instance(rng, n)
         x = random_doubly_stochastic(rng, n)
         g = objective_gradient(x, inst)
-        s = fw_direction(x, inst, "inference")
+        s = hungarian(-g)
         best = min(np.sum(g * np.eye(n)[list(p)])
                    for p in itertools.permutations(range(n)))
         assert np.isclose(float(np.sum(g * s)), best)
@@ -166,14 +158,9 @@ class TestDirection:
     def test_training_direction_doubly_stochastic(self, rng):
         inst = random_instance(rng, 5)
         x = random_doubly_stochastic(rng, 5)
-        s = ad.value(fw_direction(x, inst, "training", tau=0.5))
+        s = ad.value(fw_direction(x, inst, tau=0.5))
         np.testing.assert_allclose(s.sum(axis=0), 1.0, atol=1e-9)
         np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_unknown_mode_rejected(self, rng):
-        inst = random_instance(rng, 3)
-        with pytest.raises(InvalidInputError):
-            fw_direction(np.eye(3), inst, "both")
 
 
 class TestFrankWolfeTrain:
@@ -308,7 +295,7 @@ class TestFrankWolfeInfer:
             # a dominant unary makes this permutation its own Hungarian direction
             x0 = np.eye(n)[rng.permutation(n)]
             inst = QapInstance(inst.a_d, inst.b_d, inst.x_u + 1e4 * x0)
-            np.testing.assert_array_equal(fw_direction(x0, inst, "inference"), x0)
+            np.testing.assert_array_equal(hungarian(-objective_gradient(x0, inst)), x0)
         out, trace = frank_wolfe_infer(x0, inst)
         out_o, trace_o = stepwise_frank_wolfe_infer(x0, inst)
         np.testing.assert_array_equal(out, out_o)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from quadmatch import autodiff as ad
 from quadmatch.errors import InvalidInputError
 from quadmatch.graphs import delaunay_adjacency, weighted_adjacency
-from quadmatch.projections import hungarian
-from quadmatch.refine import (AffinityResult, ParameterSet, gcn_layer, init_assignment,
-                              init_parameters, load_parameters, node_affinity,
-                              refine_pipeline, save_parameters)
+from quadmatch.projections import hungarian, sinkhorn
+from quadmatch.refine import (KERNEL_EPS, AffinityResult, ParameterSet, gcn_layer,
+                              init_assignment, init_parameters, load_parameters,
+                              node_affinity, refine_pipeline, save_parameters)
 
 
 def small_graph(rng, n=4, d=3):
@@ -70,24 +70,15 @@ class TestRefinePipeline:
         params = init_parameters(5, n_layers=0, seed=1)
         p_a, p_b, a_d, b_d = refine_pipeline(attrs_a, attrs_b, adj_a, adj_b, params)
         assert p_a is attrs_a and p_b is attrs_b
-        np.testing.assert_allclose(a_d, weighted_adjacency(attrs_a, adj_a))
-        np.testing.assert_allclose(b_d, weighted_adjacency(attrs_b, adj_b))
-
-    def test_zero_weights_raise_zero_norm(self, rng):
-        attrs_a, adj_a = small_graph(rng)
-        attrs_b, adj_b = small_graph(rng)
-        zero = np.zeros((5, 5))
-        params = ParameterSet((zero,), (zero,), np.eye(5))
-        with pytest.raises(InvalidInputError):
-            refine_pipeline(attrs_a, attrs_b, adj_a, adj_b, params)
+        np.testing.assert_allclose(a_d, weighted_adjacency(attrs_a, adj_a, eps=KERNEL_EPS))
+        np.testing.assert_allclose(b_d, weighted_adjacency(attrs_b, adj_b, eps=KERNEL_EPS))
 
     def test_training_eps_keeps_zero_rows_finite(self, rng):
         attrs_a, adj_a = small_graph(rng)
         attrs_b, adj_b = small_graph(rng)
         zero = np.zeros((5, 5))
         params = ParameterSet((zero,), (zero,), np.eye(5))
-        p_a, _, a_d, _ = refine_pipeline(attrs_a, attrs_b, adj_a, adj_b, params,
-                                         kernel_eps=1e-8)
+        p_a, _, a_d, _ = refine_pipeline(attrs_a, attrs_b, adj_a, adj_b, params)
         assert np.all(np.isfinite(ad.value(a_d)))
 
     def test_golden_recomputation(self, rng):
@@ -97,13 +88,13 @@ class TestRefinePipeline:
         p_a, p_b, a_d, b_d = refine_pipeline(attrs_a, attrs_b, adj_a, adj_b, params)
         # straight-line recomputation
         xa, xb = attrs_a, attrs_b
-        wa = weighted_adjacency(xa, adj_a)
-        wb = weighted_adjacency(xb, adj_b)
+        wa = weighted_adjacency(xa, adj_a, eps=KERNEL_EPS)
+        wb = weighted_adjacency(xb, adj_b, eps=KERNEL_EPS)
         for w_r, w_s in zip(params.w_r, params.w_s):
             xa = np.maximum((wa @ xa) @ w_r + xa @ w_s, 0.0)
             xb = np.maximum((wb @ xb) @ w_r + xb @ w_s, 0.0)
-            wa = weighted_adjacency(xa, adj_a)
-            wb = weighted_adjacency(xb, adj_b)
+            wa = weighted_adjacency(xa, adj_a, eps=KERNEL_EPS)
+            wb = weighted_adjacency(xb, adj_b, eps=KERNEL_EPS)
         np.testing.assert_allclose(p_a, xa, atol=1e-12)
         np.testing.assert_allclose(b_d, wb, atol=1e-12)
 
@@ -134,7 +125,7 @@ class TestNodeAffinity:
         assert np.all(ad.value(res.matrix) > 0.0)
         assert ad.value(res.log_matrix).max() == 0.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_nonfinite_exponent_rejected(self, rng):
         p = rng.normal(size=(3, 2)) * 1e200
         with pytest.raises(InvalidInputError):
@@ -151,22 +142,26 @@ class TestNodeAffinity:
         np.testing.assert_allclose(moved, base[perm], rtol=1e-10)
 
 
+def affinity_from_exponent(exponent) -> AffinityResult:
+    log_matrix = exponent - exponent.max()
+    return AffinityResult(np.exp(log_matrix), log_matrix)
+
+
 class TestInitAssignment:
     def test_constant_affinity_uniform(self):
-        out = ad.value(init_assignment(np.ones((4, 4))))
+        out = ad.value(init_assignment(affinity_from_exponent(np.zeros((4, 4)))))
         np.testing.assert_allclose(out, np.full((4, 4), 0.25), atol=1e-9)
 
     def test_diagonally_dominant_rounds_to_identity(self, rng):
         k = np.eye(5) * 50.0 + rng.uniform(0.1, 1.0, size=(5, 5))
-        k = np.exp(k - k.max())
-        out = ad.value(init_assignment(k, max_iter=200))
+        out = ad.value(init_assignment(affinity_from_exponent(k)))
         np.testing.assert_array_equal(hungarian(out), np.eye(5))
 
     def test_accepts_affinity_result(self, rng):
         p_a, p_b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         res = node_affinity(p_a, p_b, np.eye(3))
         a = ad.value(init_assignment(res))
-        b = ad.value(init_assignment(ad.value(res.matrix)))
+        b = ad.value(sinkhorn(ad.value(res.matrix), tol=0.0).matrix)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -228,14 +223,12 @@ class TestRefineGradients:
         params = init_parameters(d + 2, n_layers=1, seed=4)
 
         def scalar(p: ParameterSet) -> float:
-            pa, pb, a_d, b_d = refine_pipeline(attrs_a, attrs_b, adj, adj, p,
-                                               kernel_eps=1e-8)
+            pa, pb, a_d, b_d = refine_pipeline(attrs_a, attrs_b, adj, adj, p)
             aff = node_affinity(pa, pb, p.w_aff)
             return float(ad.asum(readout * aff.matrix) + ad.asum(a_d * b_d))
 
         lifted, leaves = params.lift()
-        pa, pb, a_d, b_d = refine_pipeline(attrs_a, attrs_b, adj, adj, lifted,
-                                           kernel_eps=1e-8)
+        pa, pb, a_d, b_d = refine_pipeline(attrs_a, attrs_b, adj, adj, lifted)
         aff = node_affinity(pa, pb, lifted.w_aff)
         out = ad.asum(readout * aff.matrix) + ad.asum(a_d * b_d)
         out.backward()

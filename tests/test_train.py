@@ -35,7 +35,7 @@ class TestForward:
         p_a, p_b, _, _ = refine_pipeline(pair.a.attributes, pair.b.attributes,
                                          pair.a.adjacency, pair.b.adjacency, params)
         aff = node_affinity(p_a, p_b, params.w_aff)
-        expected = ad.value(init_assignment(aff, tol=0.0))
+        expected = ad.value(init_assignment(aff))
         np.testing.assert_allclose(ad.value(res.assignment), expected, atol=1e-12)
         assert res.trace.steps == []
 
@@ -106,6 +106,11 @@ class TestGradParams:
             assert loss_v == loss_o
             np.testing.assert_array_equal(x, x_o)
             np.testing.assert_array_equal(g.flatten(), g_o.flatten())
+
+    def test_assignment_is_the_forward_map(self, pair, params):
+        # training differentiates the very map inference evaluates
+        _, _, x = grad_params(pair, params, LossConfig(), m1=1, m2=2)
+        np.testing.assert_array_equal(x, forward(pair, params, m1=1, m2=2).assignment)
 
     def test_gradients_are_parameter_shaped(self, pair, params):
         g, _, x = grad_params(pair, params, LossConfig(), m1=1, m2=2)
@@ -200,6 +205,14 @@ class TestConfigValidation:
     def test_bad_loss_name(self):
         with pytest.raises(InvalidInputError):
             TrainConfig(loss="hinge")
+
+    @pytest.mark.parametrize("overrides", [
+        {"tau": 0.0}, {"tau": -1.0}, {"tau": float("nan")},
+        {"grad_cap": 0.0}, {"grad_cap": -1.0}, {"grad_cap": float("nan")},
+    ])
+    def test_bad_tau_or_grad_cap(self, overrides):
+        with pytest.raises(InvalidInputError):
+            TrainConfig(**overrides)
 
 
 def test_package_attribute_is_the_module():
