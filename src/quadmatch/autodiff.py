@@ -42,20 +42,14 @@ class Var:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def T(self):
-        return transpose(self)
-
-    def backward(self, seed=None) -> None:
+    def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into ``grad`` over the whole graph."""
-        if seed is None:
-            if self.data.ndim != 0 and self.data.size != 1:
-                raise ValueError("implicit backward seed requires a scalar output")
-            seed = np.ones_like(self.data)
+        if self.data.ndim != 0 and self.data.size != 1:
+            raise ValueError("backward requires a scalar output")
         order = _toposort(self)
         for node in order:
             node.grad = np.zeros_like(node.data)
-        self.grad = np.broadcast_to(np.asarray(seed, dtype=float), self.data.shape).copy()
+        self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
@@ -293,24 +287,15 @@ def asum(a, axis=None, keepdims=False):
     return Var(out, (a,), bw)
 
 
-def amax(a, axis=None, keepdims=False):
-    """Maximum with gradient routed to the first maximizer."""
+def amax(a):
+    """Global maximum with gradient routed to the first maximizer."""
     if not isinstance(a, Var):
-        return np.max(value(a), axis=axis, keepdims=keepdims)
+        return np.max(value(a))
     data = a.data
-    out = np.max(data, axis=axis, keepdims=keepdims)
 
     def bw(g):
-        gg = np.asarray(g)
         mask = np.zeros_like(data)
-        if axis is None:
-            mask[np.unravel_index(np.argmax(data), data.shape)] = 1.0
-            a.grad += mask * gg
-        else:
-            idx = np.expand_dims(np.argmax(data, axis=axis), axis)
-            np.put_along_axis(mask, idx, 1.0, axis=axis)
-            if not keepdims:
-                gg = np.expand_dims(gg, axis)
-            a.grad += mask * gg
+        mask[np.unravel_index(np.argmax(data), data.shape)] = 1.0
+        a.grad += mask * g
 
-    return Var(out, (a,), bw)
+    return Var(np.max(data), (a,), bw)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from numbers import Integral
+
 
 class InvalidInputError(ValueError):
     """An operation received input that violates its preconditions."""
@@ -16,3 +18,12 @@ class NumericalFailureError(RuntimeError):
         super().__init__(message)
         self.stage = stage
         self.history = history
+
+
+def require_ints(obj, names) -> None:
+    """Raise ``InvalidInputError`` unless each named attribute of ``obj`` is an
+    integer; a bool is rejected, although Python counts it as one."""
+    for name in names:
+        v = getattr(obj, name)
+        if isinstance(v, bool) or not isinstance(v, Integral):
+            raise InvalidInputError(f"{name} must be an integer, got {v!r}")

@@ -18,13 +18,11 @@ from . import autodiff as ad
 from .errors import InvalidInputError
 
 SINKHORN_MAX_ITER = 50
-SINKHORN_TOL = 1e-6
 
 
 @dataclass
 class SinkhornResult:
     matrix: object  # ndarray, or autodiff.Var on the training tape
-    converged: bool
     iterations: int
 
 
@@ -42,19 +40,14 @@ def _logsumexp(x: np.ndarray, axis: int, buf: np.ndarray) -> np.ndarray:
     return np.add(top, total, out=total)
 
 
-def sinkhorn(m, max_iter: int = SINKHORN_MAX_ITER, tol: float = SINKHORN_TOL, *,
-             log_input: bool = False) -> SinkhornResult:
+def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
     """Alternating row/column normalization toward a doubly-stochastic matrix.
 
-    Entries must be strictly positive (callers feed exponentiated scores).
-    Accumulation runs in the log domain so badly scaled inputs cannot
-    overflow; with ``log_input`` the argument is taken to be the log matrix
-    already, which lets affinities too spread out to exponentiate pass
-    through without underflowing to zero. Iteration stops once every row and
-    column sum is within ``tol`` of 1, or after ``max_iter`` rounds, in which
-    case the last iterate is returned with ``converged`` False. ``tol <= 0``
-    disables the check and unrolls exactly ``max_iter`` rounds, which keeps
-    the map smooth for differentiation. The argument is never written to.
+    Takes the log of the matrix to normalize (finite entries), so affinities
+    too spread out to exponentiate pass through without underflowing to
+    zero; a positive matrix ``m`` goes in as ``ad.log(m)``. Runs exactly
+    ``max_iter`` rounds, which keeps the map smooth for differentiation, and
+    returns the exponentiated last iterate. The argument is never written to.
 
     Each half-step subtracts the log-sum-exp along one axis, computed by
     direct ufunc calls through one reused scratch buffer; off the tape the
@@ -68,56 +61,43 @@ def sinkhorn(m, max_iter: int = SINKHORN_MAX_ITER, tol: float = SINKHORN_TOL, *,
     scratch buffer. Its gradient is bit for bit the one a tape holding one
     node per operation of the loop gives.
     """
-    mv = ad.value(m)
-    if mv.ndim != 2 or mv.shape[0] != mv.shape[1] or mv.shape[0] < 1:
-        raise InvalidInputError(f"sinkhorn expects a square matrix, got shape {mv.shape}")
-    if not np.all(np.isfinite(mv)):
+    lv = ad.value(log_m)
+    if lv.ndim != 2 or lv.shape[0] != lv.shape[1] or lv.shape[0] < 1:
+        raise InvalidInputError(f"sinkhorn expects a square matrix, got shape {lv.shape}")
+    if not np.all(np.isfinite(lv)):
         raise InvalidInputError("sinkhorn requires finite entries")
-    if not log_input and np.any(mv <= 0.0):
-        raise InvalidInputError("sinkhorn requires strictly positive entries")
 
-    on_tape = isinstance(m, ad.Var)
+    on_tape = isinstance(log_m, ad.Var)
     iterates = []  # (axis, normalized log iterate) per half-step, tape only
-    log_x = np.array(mv) if log_input else np.log(mv)
+    log_x = np.array(lv)
     buf = np.empty_like(log_x)
-    converged = tol <= 0.0
-    iterations = 0
-    for i in range(max_iter):
+    for _ in range(max_iter):
         for axis in (1, 0):
             lse = _logsumexp(log_x, axis, buf)
             log_x = np.subtract(log_x, lse, out=None if on_tape else log_x)
             if on_tape:
                 iterates.append((axis, log_x))
-        iterations = i + 1
-        if tol > 0.0:
-            row_dev = np.abs(np.exp(_logsumexp(log_x, 1, buf)) - 1.0).max()
-            col_dev = np.abs(np.exp(_logsumexp(log_x, 0, buf)) - 1.0).max()
-            if max(row_dev, col_dev) < tol:
-                converged = True
-                break
     if not on_tape:
-        return SinkhornResult(np.exp(log_x, out=log_x), converged, iterations)
+        return SinkhornResult(np.exp(log_x, out=log_x), max_iter)
     out = np.exp(log_x)
 
     def bw(g):
         # reverse of log_x <- log_x - lse(log_x): g <- g - softmax * sum(g)
         g = g * out
-        for axis, y in reversed(iterates[1:] if log_input else iterates):
+        for axis, y in reversed(iterates[1:]):
             total = np.add.reduce(g, axis=axis, keepdims=True)
             np.multiply(np.exp(y, out=buf), total, out=buf)
             np.subtract(g, buf, out=g)
-        if not log_input:
-            m.grad += g / mv
-            return
-        # the first half-step reads m directly: add its two terms one at a
-        # time, as a tape of one node per operation does, so that m's other
-        # uses sum into m.grad in the same order and the result is the same
-        m.grad += g
+        # the first half-step reads log_m directly: add its two terms one at
+        # a time, as a tape of one node per operation does, so that log_m's
+        # other uses sum into its grad in the same order and the result is
+        # the same
+        log_m.grad += g
         if iterates:
             axis, y = iterates[0]
-            m.grad -= np.exp(y) * g.sum(axis=axis, keepdims=True)
+            log_m.grad -= np.exp(y) * g.sum(axis=axis, keepdims=True)
 
-    return SinkhornResult(ad.Var(out, (m,), bw), converged, iterations)
+    return SinkhornResult(ad.Var(out, (log_m,), bw), max_iter)
 
 
 def hungarian(score) -> np.ndarray:

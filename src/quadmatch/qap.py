@@ -113,7 +113,7 @@ def fw_direction(x, inst: QapInstance, *, tau: float = 1.0):
     """
     benefit = -objective_gradient(x, inst)
     log_dir = (benefit - ad.amax(benefit)) / tau
-    return sinkhorn(log_dir, tol=0.0, log_input=True).matrix
+    return sinkhorn(log_dir).matrix
 
 
 def frank_wolfe_train(x0, inst: QapInstance, m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER, *,
@@ -121,8 +121,9 @@ def frank_wolfe_train(x0, inst: QapInstance, m1: int = FW_TRAIN_OUTER, m2: int =
     """Differentiable Frank-Wolfe: m1 rounds of m2 smooth pursuit steps.
 
     Each inner step blends the iterate toward the soft direction with the
-    diminishing step size; each round ends with a Sinkhorn re-projection
-    (idempotent up to tolerance since the blend stays doubly stochastic).
+    diminishing step size; each round ends with a Sinkhorn re-projection of
+    the iterate's log (nearly idempotent, since the blend stays close to
+    doubly stochastic).
     The whole map is differentiable in ``x0`` and in any tape parameters
     reachable through the instance. Returns the final iterate and a trace.
     """
@@ -137,7 +138,7 @@ def frank_wolfe_train(x0, inst: QapInstance, m1: int = FW_TRAIN_OUTER, m2: int =
             s = fw_direction(x, inst, tau=tau)
             x = x - eps * (x - s)
             trace.steps.append(TraceStep(outer, inner, eps, float(objective(ad.value(x), inst_v))))
-        x = sinkhorn(x, tol=0.0).matrix
+        x = sinkhorn(ad.log(x)).matrix
     return x, trace
 
 

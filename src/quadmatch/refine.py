@@ -193,4 +193,4 @@ def node_affinity(p_a, p_b, w_aff) -> AffinityResult:
 def init_assignment(affinity: AffinityResult):
     """Sinkhorn projection of the affinity's shifted exponent, unrolled at a
     fixed iteration count: the solver's smooth start point."""
-    return sinkhorn(affinity.log_matrix, tol=0.0, log_input=True).matrix
+    return sinkhorn(affinity.log_matrix).matrix

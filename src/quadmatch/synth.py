@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_ints
 from .graphs import GraphPair, KeypointSet, make_pair
 
 OUTLIER_SIGMA = 10.0
@@ -33,22 +33,19 @@ class SynthConfig:
     feature_noise: float = 0.15
     coord_jitter: float = 0.005
     n_outliers: int = 0
-    outlier_sigma: float = OUTLIER_SIGMA
     seed: int = 0
     rotate_b: bool = False   # apply a random rigid rotation to graph B's points
-    feature_scale: float = FEATURE_SCALE
 
     def __post_init__(self):
+        require_ints(self, ("n_inliers", "d", "classes", "n_outliers", "seed"))
         if self.n_inliers < 3:
             raise InvalidInputError("n_inliers must be >= 3")
         if self.d < 1 or self.classes < 1:
             raise InvalidInputError("d and classes must be >= 1")
-        if min(self.feature_noise, self.coord_jitter, self.outlier_sigma) < 0:
+        if min(self.feature_noise, self.coord_jitter) < 0:
             raise InvalidInputError("noise scales must be non-negative")
         if self.n_outliers < 0:
             raise InvalidInputError("n_outliers must be >= 0")
-        if self.feature_scale <= 0:
-            raise InvalidInputError("feature_scale must be positive")
 
 
 def gen_synthetic_pair(cfg: SynthConfig, rng: np.random.Generator | None = None) -> GraphPair:
@@ -59,7 +56,7 @@ def gen_synthetic_pair(cfg: SynthConfig, rng: np.random.Generator | None = None)
     class_of = np.arange(n) % cfg.classes
 
     coords_a = rng.uniform(size=(n, 2))
-    prototypes = rng.uniform(0.0, 1.0, size=(cfg.classes, d)) * (cfg.feature_scale / np.sqrt(d))
+    prototypes = rng.uniform(0.0, 1.0, size=(cfg.classes, d)) * (FEATURE_SCALE / np.sqrt(d))
     features_a = prototypes[class_of] + cfg.feature_noise * rng.normal(size=(n, d))
 
     perm = rng.permutation(n)
@@ -79,7 +76,7 @@ def gen_synthetic_pair(cfg: SynthConfig, rng: np.random.Generator | None = None)
                     labels=tuple(int(c) for c in class_of[np.argsort(perm)])),
         perm)
     if cfg.n_outliers > 0:
-        pair = inject_outliers(pair, cfg.n_outliers, cfg.outlier_sigma, rng=rng)
+        pair = inject_outliers(pair, cfg.n_outliers, rng=rng)
     return pair
 
 

@@ -4,7 +4,7 @@ The forward map composes attribute refinement, node affinity, Sinkhorn
 initialization, and the smooth Frank-Wolfe solver; every primitive on that
 path is differentiable, so reverse mode through the tape gives exact
 gradients of the unrolled computation. Sinkhorn runs a fixed iteration count
-(tol 0) inside the forward map so the unrolled function stays smooth.
+inside the forward map so the unrolled function stays smooth.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError, require_ints
 from .graphs import GraphPair
 from .losses import (LossConfig, accuracy, cross_entropy_loss, false_matching_loss,
                      permutation_to_matrix)
@@ -44,6 +44,7 @@ class TrainConfig:
     grad_cap: float | None = 100.0
 
     def __post_init__(self):
+        require_ints(self, ("epochs", "m1", "m2", "seed", "n_layers"))
         if self.epochs < 1:
             raise InvalidInputError("epochs must be >= 1")
         if self.learning_rate <= 0:

@@ -1,11 +1,13 @@
 """Slow reference implementations that the fast product paths are tested against."""
 
+import itertools
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from quadmatch import autodiff as ad
 from quadmatch.losses import LossConfig, permutation_to_matrix
-from quadmatch.projections import SINKHORN_MAX_ITER, SINKHORN_TOL, SinkhornResult, hungarian
+from quadmatch.projections import SINKHORN_MAX_ITER, SinkhornResult, hungarian
 from quadmatch.qap import (FW_INFER_MAX_INNER, FW_INFER_ROUNDS, FW_TRAIN_INNER, FW_TRAIN_OUTER,
                            QapInstance, SolveTrace, TraceStep, fw_step_size, objective,
                            objective_gradient)
@@ -49,6 +51,22 @@ def _lap_value(s: np.ndarray) -> float:
     return float(s[rows, cols].sum())
 
 
+def brute_force_qap(inst: QapInstance):
+    """Global optimum of ``objective`` over all n! permutation matrices.
+
+    Returns (optimal value, an optimal permutation matrix). A permutation
+    sigma (row i takes column sigma[i]) turns X B X^T into B indexed by
+    sigma on both axes, so every permutation is scored at once.
+    """
+    a, b, u = inst.a_d, inst.b_d, inst.x_u
+    n = inst.n
+    perms = np.array(list(itertools.permutations(range(n))))
+    resid = a - b[perms[:, :, None], perms[:, None, :]]
+    values = np.sum(resid * resid, axis=(1, 2)) - u[np.arange(n), perms].sum(axis=1)
+    best = int(np.argmin(values))
+    return float(values[best]), np.eye(n)[perms[best]]
+
+
 def logsumexp(a, axis: int, keepdims: bool = False):
     """Fused log-sum-exp reduction; backward is the softmax along ``axis``.
 
@@ -71,29 +89,18 @@ def logsumexp(a, axis: int, keepdims: bool = False):
     return ad.Var(out if keepdims else np.squeeze(out, axis=axis), (a,), bw)
 
 
-def unrolled_sinkhorn(m, max_iter: int = SINKHORN_MAX_ITER, tol: float = SINKHORN_TOL, *,
-                      log_input: bool = False) -> SinkhornResult:
+def unrolled_sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
     """Sinkhorn normalization built from tape primitives, one node per operation.
 
-    Same iteration and stopping rule as ``projections.sinkhorn``; on a tape
-    ``Var`` every half-step adds a ``logsumexp`` and a ``sub`` node, so
-    reverse mode differentiates the unrolled loop operation by operation.
+    Same input and round count as ``projections.sinkhorn``; on a tape ``Var``
+    every half-step adds a ``logsumexp`` and a ``sub`` node, so reverse mode
+    differentiates the unrolled loop operation by operation.
     """
-    log_x = m if log_input else ad.log(m)
-    converged = tol <= 0.0
-    iterations = 0
-    for i in range(max_iter):
+    log_x = log_m
+    for _ in range(max_iter):
         log_x = log_x - logsumexp(log_x, axis=1, keepdims=True)
         log_x = log_x - logsumexp(log_x, axis=0, keepdims=True)
-        iterations = i + 1
-        if tol > 0.0:
-            lv = ad.value(log_x)
-            row_dev = np.abs(np.exp(logsumexp(lv, axis=1)) - 1.0).max()
-            col_dev = np.abs(np.exp(logsumexp(lv, axis=0)) - 1.0).max()
-            if max(row_dev, col_dev) < tol:
-                converged = True
-                break
-    return SinkhornResult(ad.exp(log_x), converged, iterations)
+    return SinkhornResult(ad.exp(log_x), max_iter)
 
 
 def stepwise_frank_wolfe_infer(x0, inst: QapInstance):

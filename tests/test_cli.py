@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from quadmatch.cli import main
@@ -162,6 +161,17 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path, config_file):
     ("match", {"solver": {"m1": 3}}, "'solver'"),
     ("train", {"train": {"tau": -1.0}}, "tau"),
     ("train", {"train": {"grad_cap": 0}}, "grad_cap"),
+    ("train", {"train": {"epochs": 1.5}}, "epochs must be an integer"),
+    ("train", {"train": {"epochs": True}}, "epochs must be an integer"),
+    ("train", {"train": {"m1": 1.5}}, "m1 must be an integer"),
+    ("train", {"train": {"m2": 2.0}}, "m2 must be an integer"),
+    ("train", {"train": {"n_layers": 1.5}}, "n_layers must be an integer"),
+    ("train", {"train": {"seed": 3.5}}, "seed must be an integer"),
+    ("synth", {"synth": {"n_inliers": 8.5}}, "n_inliers must be an integer"),
+    ("synth", {"synth": {"d": 4.0}}, "d must be an integer"),
+    ("synth", {"synth": {"classes": 2.5}}, "classes must be an integer"),
+    ("synth", {"synth": {"n_outliers": 1.0}}, "n_outliers must be an integer"),
+    ("synth", {"synth": {"seed": 3.5}}, "seed must be an integer"),
 ])
 def test_bad_config_exit_code(tmp_path, capsys, command, config, fragment):
     cfg = tmp_path / "bad_config.json"

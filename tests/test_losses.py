@@ -16,7 +16,7 @@ from quadmatch.projections import sinkhorn
 
 def random_ds(seed, n):
     rng = np.random.default_rng(seed)
-    return ad.value(sinkhorn(rng.uniform(0.1, 1.0, size=(n, n)), max_iter=500).matrix)
+    return ad.value(sinkhorn(np.log(rng.uniform(0.1, 1.0, size=(n, n)))).matrix)
 
 
 def random_perm_matrix(seed, n):

@@ -4,10 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import stepwise_frank_wolfe_infer
+from oracles import brute_force_qap, stepwise_frank_wolfe_infer
 from quadmatch import autodiff as ad
 from quadmatch.errors import InvalidInputError
 from quadmatch.projections import hungarian, sinkhorn
@@ -57,7 +57,7 @@ def fd_objective_gradient(x, inst, h=1e-6):
 
 
 def random_doubly_stochastic(rng, n):
-    return ad.value(sinkhorn(rng.uniform(0.1, 1.0, size=(n, n)), max_iter=500).matrix)
+    return ad.value(sinkhorn(np.log(rng.uniform(0.1, 1.0, size=(n, n)))).matrix)
 
 
 class TestObjective:
@@ -206,7 +206,7 @@ class TestFrankWolfeTrain:
         b = perm.T @ a @ perm
         x_u = 5.0 * perm + 0.1
         inst = QapInstance(a, b, x_u)
-        x0 = ad.value(sinkhorn(np.full((n, n), 1.0) + 0.1 * perm).matrix)
+        x0 = ad.value(sinkhorn(np.log(np.full((n, n), 1.0) + 0.1 * perm)).matrix)
         x, _ = frank_wolfe_train(x0, inst, tau=0.1)
         np.testing.assert_array_equal(hungarian(ad.value(x)), perm)
 
@@ -236,7 +236,7 @@ class TestFrankWolfeInfer:
         np.fill_diagonal(a, 0.0)
         b = perm.T @ a @ perm
         inst = QapInstance(a, b, np.full((n, n), 0.5))
-        x0 = ad.value(sinkhorn(perm + 0.1 * rng.uniform(size=(n, n)), max_iter=500).matrix)
+        x0 = ad.value(sinkhorn(np.log(perm + 0.1 * rng.uniform(size=(n, n)))).matrix)
         out, _ = frank_wolfe_infer(x0, inst)
         np.testing.assert_array_equal(out, perm)
 
@@ -287,7 +287,7 @@ class TestFrankWolfeInfer:
         rng = np.random.default_rng(seed)
         inst = random_instance(rng, n)
         if start == "sinkhorn":
-            x0 = ad.value(sinkhorn(np.exp(rng.normal(scale=3.0, size=(n, n)))).matrix)
+            x0 = ad.value(sinkhorn(rng.normal(scale=3.0, size=(n, n))).matrix)
         elif start == "doubly_stochastic":
             w = rng.dirichlet(np.ones(4))
             x0 = sum(wk * np.eye(n)[rng.permutation(n)] for wk in w)
@@ -309,3 +309,19 @@ class TestFrankWolfeInfer:
         frank_wolfe_infer(x0, inst)
         for arr, kept in zip([x0, inst.a_d, inst.b_d, inst.x_u], before):
             np.testing.assert_array_equal(arr, kept)
+
+    def test_reaches_global_optimum_floor(self):
+        # measured: the optimum on 80 of these 150 instances, mean gap 0.912;
+        # the floor sits a few below so that last-bit changes do not trip it
+        rng = np.random.default_rng(606)
+        hits = 0
+        for _ in range(150):
+            n = int(rng.integers(4, 8))
+            inst = random_instance(rng, n)
+            best, perm = brute_force_qap(inst)
+            assert abs(float(objective(perm, inst)) - best) <= 1e-9
+            out, _ = frank_wolfe_infer(np.full((n, n), 1.0 / n), inst)
+            gap = float(objective(out, inst)) - best
+            assert gap >= -1e-9
+            hits += gap <= 1e-9
+        assert hits >= 75

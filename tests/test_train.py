@@ -9,7 +9,7 @@ from oracles import finite_difference_grad, unrolled_sinkhorn
 from quadmatch import autodiff as ad
 from quadmatch import qap, refine
 from quadmatch.errors import InvalidInputError, NumericalFailureError
-from quadmatch.losses import LossConfig, permutation_to_matrix
+from quadmatch.losses import LossConfig
 from quadmatch.refine import (init_assignment, init_parameters, node_affinity,
                               refine_pipeline)
 from quadmatch.synth import SynthConfig, easy_config, gen_dataset, gen_synthetic_pair
