@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class InvalidInputError(ValueError):
@@ -27,3 +27,13 @@ def require_ints(obj, names) -> None:
         v = getattr(obj, name)
         if isinstance(v, bool) or not isinstance(v, Integral):
             raise InvalidInputError(f"{name} must be an integer, got {v!r}")
+
+
+def require_reals(obj, names) -> None:
+    """Raise ``InvalidInputError`` unless each named attribute of ``obj`` is a
+    real number that is not NaN; a bool is rejected, so ``true`` in a JSON
+    config cannot pass as 1.0."""
+    for name in names:
+        v = getattr(obj, name)
+        if isinstance(v, bool) or not isinstance(v, Real) or v != v:
+            raise InvalidInputError(f"{name} must be a real number, got {v!r}")

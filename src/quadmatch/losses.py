@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_reals
 
 DEFAULT_ALPHA = 2.0
 DEFAULT_BETA = 0.1
@@ -27,6 +27,7 @@ class LossConfig:
     clip_eps: float = DEFAULT_CLIP_EPS  # cross-entropy log clamp
 
     def __post_init__(self):
+        require_reals(self, ("alpha", "beta", "clip_eps"))
         if self.alpha <= 0 or self.beta <= 0:
             raise InvalidInputError("alpha and beta must be positive")
         if not (0.0 < self.clip_eps < 0.5):

@@ -103,13 +103,15 @@ def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
 def hungarian(score) -> np.ndarray:
     """Permutation matrix maximizing ``sum(score * X)``.
 
-    One assignment solve gives an optimum sigma. Every other permutation is
-    sigma rotated along cycles of the graph whose edge r -> q costs the value
-    lost when row r takes row q's column; a Floyd-Warshall pass over that
-    graph certifies sigma as the unique optimum when its shortest cycle
-    exceeds the tolerance. Otherwise ties are broken toward the
-    lexicographically smallest optimal permutation (row 0's column first,
-    then row 1's, ...): the shortest-path potentials mark the tight edges,
+    One assignment solve gives an optimum sigma. A second solve, on the score
+    with sigma's entries lowered by the tolerance, certifies sigma as the
+    unique optimum when it returns sigma again. Only when it does not, a
+    Floyd-Warshall pass runs over the graph whose edge r -> q costs the value
+    lost when row r takes row q's column; every other permutation is sigma
+    rotated along cycles of that graph, so sigma is still the unique optimum
+    when the shortest cycle exceeds the tolerance. Otherwise ties are broken
+    toward the lexicographically smallest optimal permutation (row 0's column
+    first, then row 1's, ...): the shortest-path potentials mark the tight edges,
     which carry every optimal permutation, and rows are fixed in order to the
     smallest tight column that still admits a perfect matching on the tight
     edges left. Not differentiable: rejects tape variables.
@@ -124,7 +126,14 @@ def hungarian(score) -> np.ndarray:
 
     n = s.shape[0]
     tol = 1e-9 * max(1.0, float(np.abs(s).max()) * n)
-    _, cols = linear_sum_assignment(s, maximize=True)
+    rows, cols = linear_sum_assignment(s, maximize=True)
+    # lower sigma's entries by tol and solve again: sigma drops by n * tol,
+    # any other permutation, which moves k >= 2 rows off sigma, by only
+    # (n - k) * tol, so if sigma still wins it leads every other by 2 * tol
+    lowered = s.copy()
+    lowered[rows, cols] -= tol
+    if np.array_equal(linear_sum_assignment(lowered, maximize=True)[1], cols):
+        return np.eye(n)[cols]
 
     # loss[r, q]: value lost when row r takes row q's column; the solve is
     # optimal, so no cycle is negative and shortest paths are well defined

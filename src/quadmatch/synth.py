@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, require_ints
+from .errors import InvalidInputError, require_ints, require_reals
 from .graphs import GraphPair, KeypointSet, make_pair
 
 OUTLIER_SIGMA = 10.0
@@ -38,6 +38,9 @@ class SynthConfig:
 
     def __post_init__(self):
         require_ints(self, ("n_inliers", "d", "classes", "n_outliers", "seed"))
+        require_reals(self, ("feature_noise", "coord_jitter"))
+        if not isinstance(self.rotate_b, bool):
+            raise InvalidInputError(f"rotate_b must be a bool, got {self.rotate_b!r}")
         if self.n_inliers < 3:
             raise InvalidInputError("n_inliers must be >= 3")
         if self.d < 1 or self.classes < 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InvalidInputError, NumericalFailureError, require_ints
+from .errors import InvalidInputError, NumericalFailureError, require_ints, require_reals
 from .graphs import GraphPair
 from .losses import (LossConfig, accuracy, cross_entropy_loss, false_matching_loss,
                      permutation_to_matrix)
@@ -45,6 +45,9 @@ class TrainConfig:
 
     def __post_init__(self):
         require_ints(self, ("epochs", "m1", "m2", "seed", "n_layers"))
+        require_reals(self, ("learning_rate", "tau"))
+        if self.grad_cap is not None:
+            require_reals(self, ("grad_cap",))
         if self.epochs < 1:
             raise InvalidInputError("epochs must be >= 1")
         if self.learning_rate <= 0:

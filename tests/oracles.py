@@ -4,10 +4,13 @@ import itertools
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from quadmatch import autodiff as ad
+from quadmatch.errors import InvalidInputError
 from quadmatch.losses import LossConfig, permutation_to_matrix
-from quadmatch.projections import SINKHORN_MAX_ITER, SinkhornResult, hungarian
+from quadmatch.projections import SINKHORN_MAX_ITER, SinkhornResult
 from quadmatch.qap import (FW_INFER_MAX_INNER, FW_INFER_ROUNDS, FW_TRAIN_INNER, FW_TRAIN_OUTER,
                            QapInstance, SolveTrace, TraceStep, fw_step_size, objective,
                            objective_gradient)
@@ -49,6 +52,63 @@ def _lap_value(s: np.ndarray) -> float:
         return 0.0
     rows, cols = linear_sum_assignment(s, maximize=True)
     return float(s[rows, cols].sum())
+
+
+def floyd_warshall_hungarian(score) -> np.ndarray:
+    """``projections.hungarian`` certified by Floyd-Warshall alone.
+
+    The product function as it was before the second-solve certificate: one
+    assignment solve gives an optimum sigma. Every other permutation is
+    sigma rotated along cycles of the graph whose edge r -> q costs the value
+    lost when row r takes row q's column; a Floyd-Warshall pass over that
+    graph certifies sigma as the unique optimum when its shortest cycle
+    exceeds the tolerance. Otherwise ties are broken toward the
+    lexicographically smallest optimal permutation (row 0's column first,
+    then row 1's, ...): the shortest-path potentials mark the tight edges,
+    which carry every optimal permutation, and rows are fixed in order to the
+    smallest tight column that still admits a perfect matching on the tight
+    edges left. Not differentiable: rejects tape variables.
+    """
+    if isinstance(score, ad.Var):
+        raise InvalidInputError("hungarian is not differentiable; pass a plain array")
+    s = np.asarray(score, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
+        raise InvalidInputError(f"hungarian expects a square matrix, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise InvalidInputError("hungarian requires finite entries")
+
+    n = s.shape[0]
+    tol = 1e-9 * max(1.0, float(np.abs(s).max()) * n)
+    _, cols = linear_sum_assignment(s, maximize=True)
+
+    # loss[r, q]: value lost when row r takes row q's column; the solve is
+    # optimal, so no cycle is negative and shortest paths are well defined
+    loss = s[np.arange(n), cols][None, :] - s[:, cols]
+    d = loss.copy()
+    for k in range(n):
+        np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :], out=d)
+    cycle = d + d.T
+    np.fill_diagonal(cycle, np.inf)
+    if cycle.min() <= tol:
+        phi = d.min(axis=0)
+        tight = np.zeros((n, n), dtype=bool)
+        tight[:, cols] = loss + phi[:, None] - phi[None, :] <= tol
+        free = np.ones(n, dtype=bool)
+        # invariant: cols[i:] is a perfect matching of the unfixed rows onto
+        # the free columns using tight edges only
+        for i in range(n):
+            for j in np.flatnonzero(tight[i] & free):
+                if j == cols[i]:
+                    break
+                rest = np.flatnonzero(free)
+                rest = rest[rest != j]
+                match = maximum_bipartite_matching(
+                    csr_matrix(tight[i + 1:][:, rest]), perm_type="column")
+                if np.all(match >= 0):
+                    cols[i], cols[i + 1:] = j, rest[match]
+                    break
+            free[cols[i]] = False
+    return np.eye(n)[cols]
 
 
 def brute_force_qap(inst: QapInstance):
@@ -109,26 +169,26 @@ def stepwise_frank_wolfe_infer(x0, inst: QapInstance):
     Same rounds, steps, stopping rules and trace as ``qap.frank_wolfe_infer``,
     but each step takes the Hungarian direction from ``objective_gradient`` and
     ``objective`` for the traced value, so the residual is formed afresh in
-    each of them.
+    each of them, and every Hungarian call is ``floyd_warshall_hungarian``.
     """
     x = np.asarray(x0, dtype=float)
     inst_v = inst.values()
     trace = SolveTrace(converged=False)
 
-    best = hungarian(x)
+    best = floyd_warshall_hungarian(x)
     best_val = float(objective(best, inst_v))
 
     prev_rounded = None
     for outer in range(FW_INFER_ROUNDS):
         for inner in range(FW_INFER_MAX_INNER):
             eps = fw_step_size(inner)
-            s = hungarian(-objective_gradient(x, inst_v))
+            s = floyd_warshall_hungarian(-objective_gradient(x, inst_v))
             fixed = np.array_equal(s, x)
             x = x - eps * (x - s)
             trace.steps.append(TraceStep(outer, inner, eps, float(objective(x, inst_v))))
             if fixed:
                 break
-        rounded = hungarian(x)
+        rounded = floyd_warshall_hungarian(x)
         val = float(objective(rounded, inst_v))
         if val < best_val:
             best, best_val = rounded, val

@@ -172,6 +172,17 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path, config_file):
     ("synth", {"synth": {"classes": 2.5}}, "classes must be an integer"),
     ("synth", {"synth": {"n_outliers": 1.0}}, "n_outliers must be an integer"),
     ("synth", {"synth": {"seed": 3.5}}, "seed must be an integer"),
+    ("train", {"train": {"learning_rate": True}}, "learning_rate must be a real number"),
+    ("train", {"train": {"learning_rate": None}}, "learning_rate must be a real number"),
+    ("train", {"train": {"learning_rate": float("nan")}}, "learning_rate must be a real number"),
+    ("train", {"train": {"tau": True}}, "tau must be a real number"),
+    ("train", {"train": {"grad_cap": True}}, "grad_cap must be a real number"),
+    ("train", {"train": {"alpha": True}}, "alpha must be a real number"),
+    ("train", {"train": {"beta": True}}, "beta must be a real number"),
+    ("train", {"train": {"clip_eps": True}}, "clip_eps must be a real number"),
+    ("synth", {"synth": {"feature_noise": True}}, "feature_noise must be a real number"),
+    ("synth", {"synth": {"coord_jitter": "0.01"}}, "coord_jitter must be a real number"),
+    ("synth", {"synth": {"rotate_b": 2}}, "rotate_b must be a bool"),
 ])
 def test_bad_config_exit_code(tmp_path, capsys, command, config, fragment):
     cfg = tmp_path / "bad_config.json"

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import stepwise_frank_wolfe_infer, unrolled_sinkhorn
+from oracles import brute_force_qap, stepwise_frank_wolfe_infer, unrolled_sinkhorn
 
 from quadmatch import bench, qap, refine
 from quadmatch.bench import (VARIANTS, evaluate_pairs, match_pair, outlier_sweep,
@@ -13,6 +13,7 @@ from quadmatch.errors import InvalidInputError
 from quadmatch.refine import ParameterSet, init_parameters
 from quadmatch.synth import (SynthConfig, ambiguous_config, easy_config,
                              gen_dataset, gen_synthetic_pair, inject_outliers)
+from quadmatch.train import forward
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +228,22 @@ class TestBenchmark:
             np.testing.assert_array_equal(r.permutation, r_o.permutation)
             assert r.objective == r_o.objective
             assert r.trace.to_csv() == r_o.trace.to_csv()
+
+    def test_match_pair_reaches_global_optimum_floor(self):
+        # measured: match_pair's answer is the global optimum of the solved
+        # objective on 48 of these 60 pairs, mean gap 0.0638; the floor sits a
+        # few below so that last-bit changes do not trip it. The ground truth
+        # is optimal on only 34 of them: optimality and accuracy are separate
+        # claims, and this test makes only the first.
+        pairs = gen_dataset(ambiguous_config(seed=5, n_inliers=7), 60)
+        params = init_parameters(pairs[0].a.attributes.shape[1], n_layers=2, seed=5)
+        hits = 0
+        for pair in pairs:
+            best, _ = brute_force_qap(forward(pair, params).instance.values())
+            gap = match_pair(pair, params, "full").objective - best
+            assert gap >= -1e-9
+            hits += gap <= 1e-9
+        assert hits >= 45
 
 
 class TestOutlierSweep:

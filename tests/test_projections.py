@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import lexicographic_hungarian, unrolled_sinkhorn
+from oracles import floyd_warshall_hungarian, lexicographic_hungarian, unrolled_sinkhorn
 from quadmatch import autodiff as ad
 from quadmatch import projections
 from quadmatch.errors import InvalidInputError
@@ -202,7 +202,61 @@ class TestHungarian:
         score = np.random.default_rng(seed).normal(size=(n, n))
         np.testing.assert_array_equal(hungarian(score), lexicographic_hungarian(score))
 
-    def test_one_assignment_solve_per_call(self, monkeypatch, rng):
+    @given(n=st.integers(1, 24), scale=st.sampled_from([1e-12, 1e-6, 1.0, 1e6, 1e12]),
+           seed=st.integers(0, 10_000))
+    def test_matches_floyd_warshall_gaussian(self, n, scale, seed):
+        score = scale * np.random.default_rng(seed).normal(size=(n, n))
+        np.testing.assert_array_equal(hungarian(score), floyd_warshall_hungarian(score))
+
+    @given(n=st.integers(1, 12), seed=st.integers(0, 10_000))
+    def test_matches_floyd_warshall_small_integers(self, n, seed):
+        score = np.random.default_rng(seed).integers(0, 3, size=(n, n)).astype(float)
+        np.testing.assert_array_equal(hungarian(score), floyd_warshall_hungarian(score))
+
+    @given(n=st.integers(1, 12), k=st.integers(2, 3), equal_weights=st.booleans(),
+           seed=st.integers(0, 10_000))
+    def test_matches_floyd_warshall_permutation_mixtures(self, n, k, equal_weights, seed):
+        rng = np.random.default_rng(seed)
+        weights = np.full(k, 1.0 / k) if equal_weights else rng.dirichlet(np.ones(k))
+        score = sum(w * np.eye(n)[rng.permutation(n)] for w in weights)
+        np.testing.assert_array_equal(hungarian(score), floyd_warshall_hungarian(score))
+
+    def test_matches_floyd_warshall_near_ties(self):
+        # sigma beats pi, which rotates sigma along one k-cycle, by c * tol;
+        # pi is the lexicographically smaller, so it wins a tie. The second
+        # solve certifies sigma only when c >= k; for 1 < c < k it declines
+        # and Floyd-Warshall still finds the k-cycle above tol.
+        declined_but_unique = []
+
+        @given(n=st.integers(2, 12), k=st.integers(2, 12),
+               c=st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]),
+               seed=st.integers(0, 10_000))
+        def check(n, k, c, seed):
+            k = min(k, n)
+            rng = np.random.default_rng(seed)
+            sigma = rng.permutation(n)
+            moved = rng.choice(n, size=k, replace=False)
+            pi = sigma.copy()
+            pi[moved] = sigma[np.roll(moved, 1)]
+            if tuple(pi) > tuple(sigma):
+                sigma, pi = pi, sigma
+            # sigma scores n + m + g * n and pi n + m + g * m, m = n - k rows shared
+            base = np.eye(n)[sigma] + np.eye(n)[pi]
+            tol = 1e-9 * max(1.0, float(np.abs(base).max()) * n)
+            score = base + (c * tol / k) * np.eye(n)[sigma]
+            perm = hungarian(score)
+            np.testing.assert_array_equal(perm, floyd_warshall_hungarian(score))
+            if c != 1:
+                np.testing.assert_array_equal(perm, np.eye(n)[sigma if c > 1 else pi])
+            if 1 < c < k:
+                declined_but_unique.append((n, k, c))
+
+        check()
+        assert declined_but_unique
+
+    def test_two_assignment_solves_per_call(self, monkeypatch, rng):
+        # a fixed count per call, whichever certificate answers: the O(n^2)
+        # greedy of the lexicographic oracle must not come back
         calls = []
         lsa = projections.linear_sum_assignment
 
@@ -211,10 +265,12 @@ class TestHungarian:
             return lsa(*args, **kwargs)
 
         monkeypatch.setattr(projections, "linear_sum_assignment", counted)
+        # tie: the second solve declines and Floyd-Warshall breaks the tie
         np.testing.assert_array_equal(hungarian(np.ones((12, 12))), np.eye(12))
-        assert len(calls) == 1
-        hungarian(rng.normal(size=(24, 24)))
         assert len(calls) == 2
+        # no tie: the second solve certifies the first
+        hungarian(rng.normal(size=(24, 24)))
+        assert len(calls) == 4
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInputError):
