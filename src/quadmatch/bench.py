@@ -111,7 +111,7 @@ def match_pair(pair: GraphPair, params: ParameterSet, variant: str = "full") -> 
     inst = res.instance.values()
     if variant == "no_qc":
         matrix = hungarian(x)
-        trace = res.trace
+        trace = SolveTrace()
     else:
         matrix, trace = frank_wolfe_infer(x, inst)
     x_star = permutation_to_matrix(pair.gt, pair.b.n)
@@ -165,6 +165,8 @@ def outlier_sweep(pairs, params: ParameterSet, ks=(0, 1, 2, 3, 4), *,
     Each sweep point re-injects into the clean pairs with a seed derived
     from the sweep seed, so the whole curve is reproducible.
     """
+    if len(ks) == 0:
+        raise InvalidInputError("outlier sweep requires at least one outlier count k")
     rows = []
     for k in ks:
         child_seeds = np.random.SeedSequence((seed, k)).spawn(len(pairs))

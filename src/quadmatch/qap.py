@@ -111,6 +111,8 @@ def fw_direction(x, inst: QapInstance, *, tau: float = 1.0):
     exponentiating, which cannot overflow and leaves the Sinkhorn fixed point
     unchanged (a global scaling).
     """
+    if not tau > 0:
+        raise InvalidInputError(f"tau must be positive, got {tau!r}")
     benefit = -objective_gradient(x, inst)
     log_dir = (benefit - ad.amax(benefit)) / tau
     return sinkhorn(log_dir).matrix
@@ -125,21 +127,21 @@ def frank_wolfe_train(x0, inst: QapInstance, m1: int = FW_TRAIN_OUTER, m2: int =
     the iterate's log (nearly idempotent, since the blend stays close to
     doubly stochastic).
     The whole map is differentiable in ``x0`` and in any tape parameters
-    reachable through the instance. Returns the final iterate and a trace.
+    reachable through the instance. Returns only the final iterate (``x0``
+    itself when ``m1`` is 0); no per-step objective is evaluated, since
+    neither the gradient nor the inference warm start reads one. A ``tau``
+    that is not positive raises ``InvalidInputError`` at the first step.
     """
     if m1 < 0 or m2 < 0:
         raise InvalidInputError("iteration counts must be non-negative")
-    inst_v = inst.values()
-    trace = SolveTrace(converged=True)
     x = x0
-    for outer in range(m1):
+    for _ in range(m1):
         for inner in range(m2):
             eps = fw_step_size(inner)
             s = fw_direction(x, inst, tau=tau)
             x = x - eps * (x - s)
-            trace.steps.append(TraceStep(outer, inner, eps, float(objective(ad.value(x), inst_v))))
         x = sinkhorn(ad.log(x)).matrix
-    return x, trace
+    return x
 
 
 def frank_wolfe_infer(x0, inst: QapInstance):

@@ -28,7 +28,10 @@ class ParameterSet:
 
     ``w_r[l]`` mixes neighbor attributes, ``w_s[l]`` the node's own; both are
     square in the attribute dimension, as is ``w_aff``. ``seed`` records the
-    RNG seed used at initialization (None for derived sets such as gradients).
+    RNG seed used at initialization; sets derived through ``replace_flat``,
+    gradients included, carry the seed of the set they were derived from.
+    The flat layout (``tensors`` order) is defined here only: gradients and
+    SGD updates go through ``flatten`` and ``replace_flat``.
     """
 
     w_r: tuple

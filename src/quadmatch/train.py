@@ -20,11 +20,11 @@ from .graphs import GraphPair
 from .losses import (LossConfig, accuracy, cross_entropy_loss, false_matching_loss,
                      permutation_to_matrix)
 from .projections import hungarian
-from .qap import FW_TRAIN_INNER, FW_TRAIN_OUTER, QapInstance, SolveTrace, frank_wolfe_train
+from .qap import FW_TRAIN_INNER, FW_TRAIN_OUTER, QapInstance, frank_wolfe_train
 from .refine import (ParameterSet, init_assignment, init_parameters, node_affinity,
                      refine_pipeline)
 
-LOSSES = ("false_matching", "cross_entropy")
+LOSSES = {"false_matching": false_matching_loss, "cross_entropy": cross_entropy_loss}
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class TrainConfig:
         if self.m1 < 0 or self.m2 < 0:
             raise InvalidInputError("m1 and m2 must be non-negative")
         if self.loss not in LOSSES:
-            raise InvalidInputError(f"loss must be one of {LOSSES}")
+            raise InvalidInputError(f"loss must be one of {tuple(LOSSES)}")
         if not self.tau > 0:
             raise InvalidInputError("tau must be positive")
         if self.grad_cap is not None and not self.grad_cap > 0:
@@ -88,8 +88,13 @@ class TrainHistory:
 
 @dataclass
 class ForwardResult:
+    """The smooth-FW iterate and the instance it was solved on.
+
+    Training reads only the assignment; inference traces its own discrete
+    solve (``frank_wolfe_infer``).
+    """
+
     assignment: object          # soft matching, ndarray or tape Var
-    trace: SolveTrace
     instance: QapInstance       # the solved instance (weighted adjacencies + affinity)
 
 
@@ -113,48 +118,34 @@ def forward(pair: GraphPair, params: ParameterSet, *,
     else:
         inst = QapInstance(a_d, b_d, aff.matrix)
     x0 = init_assignment(aff)
-    x, trace = frank_wolfe_train(x0, inst, m1, m2, tau=tau)
-    return ForwardResult(x, trace, inst)
+    return ForwardResult(frank_wolfe_train(x0, inst, m1, m2, tau=tau), inst)
 
 
-def _loss_fn(name: str):
-    if name == "false_matching":
-        return false_matching_loss
-    if name == "cross_entropy":
-        return cross_entropy_loss
-    raise InvalidInputError(f"unknown loss {name!r}")
-
-
-def grad_params(pair: GraphPair, params: ParameterSet, loss_cfg: LossConfig, *,
-                loss: str = "false_matching", m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER,
-                tau: float = 1.0) -> tuple[ParameterSet, float, np.ndarray]:
+def grad_params(pair: GraphPair, params: ParameterSet,
+                cfg: TrainConfig) -> tuple[ParameterSet, float, np.ndarray]:
     """Gradient of the matching loss with respect to every parameter.
 
-    Reverse mode differentiates the unrolled forward computation exactly.
-    Returns (gradients in parameter shape, loss value, the forward
-    assignment). Non-finite values raise NumericalFailureError naming the
-    failing stage.
+    The loss, its ``loss_cfg`` and the solver's ``m1``, ``m2`` and ``tau``
+    come from ``cfg``. Reverse mode differentiates the unrolled forward
+    computation exactly. Returns (gradients in parameter shape, carrying
+    ``params.seed``; loss value; the forward assignment). Non-finite values
+    raise NumericalFailureError naming the failing stage.
     """
     x_star = permutation_to_matrix(pair.gt, pair.b.n)
-    loss_f = _loss_fn(loss)
     lifted, leaves = params.lift()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        res = forward(pair, lifted, m1=m1, m2=m2, tau=tau)
+        res = forward(pair, lifted, m1=cfg.m1, m2=cfg.m2, tau=cfg.tau)
         x_val = np.array(ad.value(res.assignment))
         if not np.all(np.isfinite(x_val)):
             raise NumericalFailureError("forward produced non-finite assignment", stage="forward")
-        loss_v = loss_f(res.assignment, x_star, loss_cfg)
+        loss_v = LOSSES[cfg.loss](res.assignment, x_star, cfg.loss_cfg)
         if not np.isfinite(ad.value(loss_v)):
             raise NumericalFailureError("loss is not finite", stage="loss")
         loss_v.backward()
-    flat = [leaf.grad for leaf in leaves]
-    if not all(np.all(np.isfinite(g)) for g in flat):
+    flat = np.concatenate([leaf.grad.ravel() for leaf in leaves])
+    if not np.all(np.isfinite(flat)):
         raise NumericalFailureError("parameter gradient is not finite", stage="parameter_gradient")
-    n_layers = params.n_layers
-    grads = ParameterSet(tuple(flat[2 * l] for l in range(n_layers)),
-                         tuple(flat[2 * l + 1] for l in range(n_layers)),
-                         flat[-1])
-    return grads, float(ad.value(loss_v)), x_val
+    return params.replace_flat(flat), float(ad.value(loss_v)), x_val
 
 
 def sgd_step(params: ParameterSet, grads: ParameterSet, lr: float) -> ParameterSet:
@@ -164,10 +155,7 @@ def sgd_step(params: ParameterSet, grads: ParameterSet, lr: float) -> ParameterS
     for (name, p), (_, g) in zip(params.tensors().items(), grads.tensors().items()):
         if ad.value(p).shape != ad.value(g).shape:
             raise InvalidInputError(f"gradient shape mismatch for {name}")
-    w_r = tuple(ad.value(p) - lr * ad.value(g) for p, g in zip(params.w_r, grads.w_r))
-    w_s = tuple(ad.value(p) - lr * ad.value(g) for p, g in zip(params.w_s, grads.w_s))
-    w_aff = ad.value(params.w_aff) - lr * ad.value(grads.w_aff)
-    return ParameterSet(w_r, w_s, w_aff, seed=params.seed)
+    return params.replace_flat(params.flatten() - lr * grads.flatten())
 
 
 def train(pairs: list[GraphPair], cfg: TrainConfig,
@@ -191,8 +179,7 @@ def train(pairs: list[GraphPair], cfg: TrainConfig,
         for idx in order:
             pair = pairs[idx]
             try:
-                grads, loss_v, x_val = grad_params(pair, params, cfg.loss_cfg, loss=cfg.loss,
-                                                   m1=cfg.m1, m2=cfg.m2, tau=cfg.tau)
+                grads, loss_v, x_val = grad_params(pair, params, cfg)
             except NumericalFailureError as exc:
                 exc.history = history
                 raise

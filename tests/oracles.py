@@ -11,10 +11,9 @@ from quadmatch import autodiff as ad
 from quadmatch.errors import InvalidInputError
 from quadmatch.losses import LossConfig, permutation_to_matrix
 from quadmatch.projections import SINKHORN_MAX_ITER, SinkhornResult
-from quadmatch.qap import (FW_INFER_MAX_INNER, FW_INFER_ROUNDS, FW_TRAIN_INNER, FW_TRAIN_OUTER,
-                           QapInstance, SolveTrace, TraceStep, fw_step_size, objective,
-                           objective_gradient)
-from quadmatch.train import _loss_fn, forward
+from quadmatch.qap import (FW_INFER_MAX_INNER, FW_INFER_ROUNDS, QapInstance, SolveTrace,
+                           TraceStep, fw_step_size, objective, objective_gradient)
+from quadmatch.train import LOSSES, TrainConfig, forward
 
 FD_STEP = 1e-5
 
@@ -200,21 +199,20 @@ def stepwise_frank_wolfe_infer(x0, inst: QapInstance):
     return best, trace
 
 
-def finite_difference_grad(pair, params, loss_cfg: LossConfig, *, loss: str = "false_matching",
-                           m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER, tau: float = 1.0,
-                           step: float = FD_STEP):
+def finite_difference_grad(pair, params, cfg: TrainConfig, *, step: float = FD_STEP):
     """Central differences of the matching loss in every scalar parameter.
 
-    Evaluates the same forward map as ``train.grad_params``, two forward
-    passes per parameter, and returns the same triple: (gradients in
-    parameter shape, loss value, forward assignment).
+    Evaluates the same forward map and loss as ``train.grad_params`` at the
+    settings of ``cfg``, two forward passes per parameter, and returns the
+    same triple: (gradients in parameter shape, loss value, forward
+    assignment).
     """
     x_star = permutation_to_matrix(pair.gt, pair.b.n)
-    loss_f = _loss_fn(loss)
+    loss_f, loss_cfg = LOSSES[cfg.loss], cfg.loss_cfg
 
     def run(flat_vec: np.ndarray) -> np.ndarray:
         p = params.replace_flat(flat_vec)
-        return forward(pair, p, m1=m1, m2=m2, tau=tau).assignment
+        return forward(pair, p, m1=cfg.m1, m2=cfg.m2, tau=cfg.tau).assignment
 
     theta = params.flatten()
     x_val = run(theta)

@@ -66,9 +66,12 @@ def test_match_ablate_flag(tmp_path, config_file):
     pair_file = str(tmp_path / "pair.json")
     save_pair(load_dataset(data)[0], pair_file)
     out_file = str(tmp_path / "m.json")
+    trace_file = str(tmp_path / "trace.csv")
     assert main(["match", "--pair", pair_file, "--checkpoint", ckpt,
-                 "--ablate", "qc", "--out", out_file]) == 0
+                 "--ablate", "qc", "--out", out_file, "--trace", trace_file]) == 0
     assert json.loads(open(out_file).read())["variant"] == "no_qc"
+    # no Frank-Wolfe solve ran, so the trace is the header alone
+    assert open(trace_file).read() == "outer,inner,epsilon,objective\n"
 
 
 def test_bench_robust(tmp_path, config_file):
@@ -82,6 +85,16 @@ def test_bench_robust(tmp_path, config_file):
     lines = open(sweep).read().splitlines()
     assert lines[0] == "k,mean_accuracy,mean_f1,n_failures"
     assert len(lines) == 3
+
+
+def test_bench_robust_negative_kmax(tmp_path, config_file, capsys):
+    ckpt = str(tmp_path / "ckpt.json")
+    save_parameters(init_parameters(6, n_layers=1, seed=0), ckpt)
+    sweep = tmp_path / "sweep.csv"
+    assert main(["bench-robust", "--config", config_file, "--checkpoint", ckpt,
+                 "--out", str(sweep), "--kmax", "-1", "--n-pairs", "2"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not sweep.exists()
 
 
 def test_seed_override_changes_dataset(tmp_path, config_file):

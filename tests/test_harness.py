@@ -261,6 +261,10 @@ class TestOutlierSweep:
         b = outlier_sweep(pairs, small_params, ks=(0, 2), seed=7)
         assert sweep_to_csv(a) == sweep_to_csv(b)
 
+    def test_empty_ks_rejected(self, small_params):
+        with pytest.raises(InvalidInputError, match="outlier count"):
+            outlier_sweep(gen_dataset(small_cfg(), 1), small_params, ks=())
+
     def test_k_zero_matches_plain_eval(self, small_params):
         pairs = gen_dataset(small_cfg(), 2)
         rows = outlier_sweep(pairs, small_params, ks=(0,), seed=7)
