@@ -7,7 +7,8 @@ backward pass replays its stored log iterates in numpy (see
 `projections.sinkhorn`). Every helper in this module accepts either a `Var` or
 a plain ndarray: when no `Var` is involved the computation falls through to
 numpy directly, which lets the solver code be written once and reused for
-both inference and training.
+both inference and training. `_binary` and `_unary` hold that rule once; each
+primitive gives only its numpy function and its local derivative.
 
 Non-smooth primitives (`relu`, `amax`, `clip`) use the standard
 almost-everywhere derivatives; ties in `amax` route the gradient to the first
@@ -128,148 +129,88 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def add(a, b):
-    if not isinstance(a, Var) and not isinstance(b, Var):
-        return np.add(value(a), value(b))
+def _binary(fn, a, b, da, db):
+    """``fn(a, b)``, put on the tape when either argument is a ``Var``.
+
+    ``da(g, av, bv)`` and ``db(g, av, bv)`` give the local derivatives
+    against the upstream gradient ``g``; each is summed back down to its
+    argument's shape where ``fn`` broadcast it. Plain arguments give
+    ``fn``'s numpy result.
+    """
     av, bv = value(a), value(b)
+    if not isinstance(a, Var) and not isinstance(b, Var):
+        return fn(av, bv)
 
     def bw(g):
         if isinstance(a, Var):
-            a.grad += _unbroadcast(g, av.shape)
+            a.grad += _unbroadcast(da(g, av, bv), av.shape)
         if isinstance(b, Var):
-            b.grad += _unbroadcast(g, bv.shape)
+            b.grad += _unbroadcast(db(g, av, bv), bv.shape)
 
-    return Var(av + bv, tuple(x for x in (a, b) if isinstance(x, Var)), bw)
+    return Var(fn(av, bv), tuple(x for x in (a, b) if isinstance(x, Var)), bw)
+
+
+def _unary(fn, a, da):
+    """``fn(a)``, put on the tape when ``a`` is a ``Var``; ``da(g, av, out)``
+    is the local derivative against the upstream gradient ``g``."""
+    if not isinstance(a, Var):
+        return fn(value(a))
+    av = a.data
+    out = fn(av)
+
+    def bw(g):
+        a.grad += da(g, av, out)
+
+    return Var(out, (a,), bw)
+
+
+def add(a, b):
+    return _binary(np.add, a, b, lambda g, av, bv: g, lambda g, av, bv: g)
 
 
 def sub(a, b):
-    if not isinstance(a, Var) and not isinstance(b, Var):
-        return np.subtract(value(a), value(b))
-    av, bv = value(a), value(b)
-
-    def bw(g):
-        if isinstance(a, Var):
-            a.grad += _unbroadcast(g, av.shape)
-        if isinstance(b, Var):
-            b.grad += _unbroadcast(-g, bv.shape)
-
-    return Var(av - bv, tuple(x for x in (a, b) if isinstance(x, Var)), bw)
-
-
-def neg(a):
-    if not isinstance(a, Var):
-        return -value(a)
-
-    def bw(g):
-        a.grad += -g
-
-    return Var(-a.data, (a,), bw)
+    return _binary(np.subtract, a, b, lambda g, av, bv: g, lambda g, av, bv: -g)
 
 
 def mul(a, b):
-    if not isinstance(a, Var) and not isinstance(b, Var):
-        return np.multiply(value(a), value(b))
-    av, bv = value(a), value(b)
-
-    def bw(g):
-        if isinstance(a, Var):
-            a.grad += _unbroadcast(g * bv, av.shape)
-        if isinstance(b, Var):
-            b.grad += _unbroadcast(g * av, bv.shape)
-
-    return Var(av * bv, tuple(x for x in (a, b) if isinstance(x, Var)), bw)
+    return _binary(np.multiply, a, b, lambda g, av, bv: g * bv, lambda g, av, bv: g * av)
 
 
 def div(a, b):
-    if not isinstance(a, Var) and not isinstance(b, Var):
-        return np.divide(value(a), value(b))
-    av, bv = value(a), value(b)
-
-    def bw(g):
-        if isinstance(a, Var):
-            a.grad += _unbroadcast(g / bv, av.shape)
-        if isinstance(b, Var):
-            b.grad += _unbroadcast(-g * av / (bv * bv), bv.shape)
-
-    return Var(av / bv, tuple(x for x in (a, b) if isinstance(x, Var)), bw)
+    return _binary(np.divide, a, b, lambda g, av, bv: g / bv,
+                   lambda g, av, bv: -g * av / (bv * bv))
 
 
 def matmul(a, b):
-    if not isinstance(a, Var) and not isinstance(b, Var):
-        return np.matmul(value(a), value(b))
-    av, bv = value(a), value(b)
+    return _binary(np.matmul, a, b, lambda g, av, bv: g @ bv.T, lambda g, av, bv: av.T @ g)
 
-    def bw(g):
-        if isinstance(a, Var):
-            a.grad += g @ bv.T
-        if isinstance(b, Var):
-            b.grad += av.T @ g
 
-    return Var(av @ bv, tuple(x for x in (a, b) if isinstance(x, Var)), bw)
+def neg(a):
+    return _unary(np.negative, a, lambda g, av, out: -g)
 
 
 def transpose(a):
-    if not isinstance(a, Var):
-        return value(a).T
-
-    def bw(g):
-        a.grad += g.T
-
-    return Var(a.data.T, (a,), bw)
+    return _unary(lambda x: x.T, a, lambda g, av, out: g.T)
 
 
 def exp(a):
-    if not isinstance(a, Var):
-        return np.exp(value(a))
-    out = np.exp(a.data)
-
-    def bw(g):
-        a.grad += g * out
-
-    return Var(out, (a,), bw)
+    return _unary(np.exp, a, lambda g, av, out: g * out)
 
 
 def log(a):
-    if not isinstance(a, Var):
-        return np.log(value(a))
-
-    def bw(g):
-        a.grad += g / a.data
-
-    return Var(np.log(a.data), (a,), bw)
+    return _unary(np.log, a, lambda g, av, out: g / av)
 
 
 def sqrt(a):
-    if not isinstance(a, Var):
-        return np.sqrt(value(a))
-    out = np.sqrt(a.data)
-
-    def bw(g):
-        a.grad += g * 0.5 / out
-
-    return Var(out, (a,), bw)
+    return _unary(np.sqrt, a, lambda g, av, out: g * 0.5 / out)
 
 
 def relu(a):
-    if not isinstance(a, Var):
-        return np.maximum(value(a), 0.0)
-    out = np.maximum(a.data, 0.0)
-
-    def bw(g):
-        a.grad += g * (a.data > 0.0)
-
-    return Var(out, (a,), bw)
+    return _unary(lambda x: np.maximum(x, 0.0), a, lambda g, av, out: g * (av > 0.0))
 
 
 def clip(a, lo: float, hi: float):
-    if not isinstance(a, Var):
-        return np.clip(value(a), lo, hi)
-    out = np.clip(a.data, lo, hi)
-
-    def bw(g):
-        a.grad += g * ((a.data > lo) & (a.data < hi))
-
-    return Var(out, (a,), bw)
+    return _unary(lambda x: np.clip(x, lo, hi), a, lambda g, av, out: g * ((av > lo) & (av < hi)))
 
 
 def asum(a, axis=None, keepdims=False):

@@ -108,7 +108,7 @@ def match_pair(pair: GraphPair, params: ParameterSet, variant: str = "full") -> 
     res = forward(pair, params, m1=0 if variant == "no_qc" else FW_TRAIN_OUTER,
                   use_binary_adjacency=(variant == "no_pairwise"))
     x = ad.value(res.assignment)
-    inst = res.instance.values()
+    inst = res.instance
     if variant == "no_qc":
         matrix = hungarian(x)
         trace = SolveTrace()

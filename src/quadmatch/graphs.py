@@ -17,14 +17,21 @@ from scipy.spatial import Delaunay, QhullError
 from . import autodiff as ad
 from .errors import InvalidInputError
 
+# added to each attribute row's norm in the cosine kernel, so a row that
+# collapses to zero (a rectified GCN output) gives a zero kernel row
+KERNEL_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class KeypointSet:
-    """Raw per-node data: 2D coordinates, feature rows, optional labels."""
+    """Raw per-node data: 2D coordinates and feature rows.
+
+    Feature rows must be finite and small enough that their squared norm,
+    which the cosine kernel forms, does not overflow.
+    """
 
     coords: np.ndarray
     features: np.ndarray
-    labels: tuple | None = None
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=float)
@@ -35,6 +42,10 @@ class KeypointSet:
             raise InvalidInputError("features must have one row per keypoint")
         if not np.all(np.isfinite(coords)) or not np.all(np.isfinite(features)):
             raise InvalidInputError("keypoint coordinates and features must be finite")
+        with np.errstate(over="ignore"):
+            sq_norms = np.sum(features * features, axis=1)
+        if not np.all(np.isfinite(sq_norms)):
+            raise InvalidInputError("feature rows are too large: their squared norm overflows")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "features", features)
 
@@ -51,7 +62,6 @@ class Graph:
     coords_norm: np.ndarray
     attributes: np.ndarray
     adjacency: np.ndarray
-    collinear_fallback: bool
 
     @property
     def n(self) -> int:
@@ -65,19 +75,18 @@ class GraphPair:
     gt: np.ndarray  # gt[i] = matched node index in b, or -1 for an outlier
 
     def __post_init__(self):
-        gt = np.asarray(self.gt, dtype=int)
+        raw = np.asarray(self.gt)
+        # NaN, inf or a float beyond int64 casts to garbage, rejected below
+        with np.errstate(invalid="ignore"):
+            gt = raw.astype(int) if raw.dtype.kind in "biuf" else None
+        if gt is None or not np.array_equal(gt, raw):
+            raise InvalidInputError("ground truth entries must be integer node indices")
         if gt.shape != (self.a.n,):
             raise InvalidInputError("ground truth must have one entry per node of graph a")
         matched = gt[gt >= 0]
         if matched.size and (matched.max() >= self.b.n or np.unique(matched).size != matched.size):
             raise InvalidInputError("ground truth must map distinct nodes into graph b")
         object.__setattr__(self, "gt", gt)
-
-
-@dataclass(frozen=True)
-class DelaunayResult:
-    adjacency: np.ndarray
-    collinear_fallback: bool
 
 
 def normalize_coordinates(coords) -> np.ndarray:
@@ -101,11 +110,13 @@ def normalize_coordinates(coords) -> np.ndarray:
     return out
 
 
-def delaunay_adjacency(coords_norm) -> DelaunayResult:
+def delaunay_adjacency(coords_norm) -> np.ndarray:
     """Binary adjacency whose edges are the Delaunay triangulation edges.
 
-    Fewer than 3 points give a complete graph; collinear inputs fall back to
-    a path graph along the dominant axis, flagged in the result.
+    Fewer than 3 points give a complete graph. Collinear or coincident inputs
+    fall back to a path graph along the dominant axis; the result shows it,
+    since a path over n points has n - 1 edges and a triangulation of n >= 3
+    points has at least n.
     """
     c = np.asarray(coords_norm, dtype=float)
     if c.ndim != 2 or c.shape[1] != 2:
@@ -114,20 +125,19 @@ def delaunay_adjacency(coords_norm) -> DelaunayResult:
         raise InvalidInputError("coordinates must be finite")
     n = c.shape[0]
     if n < 3:
-        adj = np.ones((n, n)) - np.eye(n)
-        return DelaunayResult(adj, False)
+        return np.ones((n, n)) - np.eye(n)
     if _collinear(c):
-        return DelaunayResult(_path_adjacency(c), True)
+        return _path_adjacency(c)
     try:
         tri = Delaunay(c)
     except QhullError:
-        return DelaunayResult(_path_adjacency(c), True)
+        return _path_adjacency(c)
     adj = np.zeros((n, n))
     for simplex in tri.simplices:
         for k in range(3):
             i, j = simplex[k], simplex[(k + 1) % 3]
             adj[i, j] = adj[j, i] = 1.0
-    return DelaunayResult(adj, False)
+    return adj
 
 
 def _collinear(c: np.ndarray) -> bool:
@@ -158,44 +168,41 @@ def assemble_attributes(features, coords_norm) -> np.ndarray:
     return np.hstack([f, c])
 
 
-def linear_kernel(p, *, eps: float = 0.0):
+def linear_kernel(p):
     """Cosine similarity matrix of attribute rows.
 
-    Rows are L2-normalized first, so entries lie in [-1, 1] with a unit
-    diagonal. The refinement pipeline adds ``refine.KERNEL_EPS`` to the row
-    norms, so rows that collapse to zero give zero kernel rows; at the
-    default ``eps`` 0 the kernel is exact and a zero-norm row is rejected.
+    Rows are divided by their L2 norm plus ``KERNEL_EPS``, so entries lie in
+    [-1, 1], a diagonal entry is ``(|p| / (|p| + KERNEL_EPS))**2`` (1 up to
+    about 1e-8 relative for rows of unit scale), and a zero row gives a zero
+    kernel row.
     """
     pv = ad.value(p)
     if pv.ndim != 2:
         raise InvalidInputError("attribute matrix must be 2-D")
     sq = ad.asum(p * p, axis=1, keepdims=True)
-    if eps <= 0.0 and np.any(ad.value(sq) == 0.0):
-        raise InvalidInputError("attribute matrix has a zero-norm row")
-    norms = ad.sqrt(sq) + eps
+    norms = ad.sqrt(sq) + KERNEL_EPS
     unit = p / norms
     return unit @ ad.transpose(unit)
 
 
-def weighted_adjacency(p, adjacency, *, eps: float = 0.0):
+def weighted_adjacency(p, adjacency):
     """Binary topology masked elementwise with the attribute cosine kernel."""
     adj = np.asarray(adjacency, dtype=float)
     pv = ad.value(p)
     if adj.shape != (pv.shape[0], pv.shape[0]):
         raise InvalidInputError("adjacency size does not match attribute rows")
-    return linear_kernel(p, eps=eps) * adj
+    return linear_kernel(p) * adj
 
 
 def build_graph(keypoints: KeypointSet) -> Graph:
     """Normalize coordinates, triangulate, and assemble node attributes."""
     coords_norm = normalize_coordinates(keypoints.coords)
-    delaunay = delaunay_adjacency(coords_norm)
     attributes = assemble_attributes(keypoints.features, coords_norm)
-    return Graph(keypoints, coords_norm, attributes, delaunay.adjacency, delaunay.collinear_fallback)
+    return Graph(keypoints, coords_norm, attributes, delaunay_adjacency(coords_norm))
 
 
 def make_pair(a: KeypointSet, b: KeypointSet, gt) -> GraphPair:
-    return GraphPair(build_graph(a), build_graph(b), np.asarray(gt, dtype=int))
+    return GraphPair(build_graph(a), build_graph(b), gt)
 
 
 def pair_to_dict(pair: GraphPair) -> dict:
@@ -217,7 +224,7 @@ def pair_from_dict(obj: dict) -> GraphPair:
         ga, gb = obj["graph_a"], obj["graph_b"]
         a = KeypointSet(np.asarray(ga["coords"], dtype=float), np.asarray(ga["features"], dtype=float))
         b = KeypointSet(np.asarray(gb["coords"], dtype=float), np.asarray(gb["features"], dtype=float))
-        gt = np.asarray(obj["gt_permutation"], dtype=int)
+        gt = obj["gt_permutation"]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed graph-pair object: {exc}") from exc
     return make_pair(a, b, gt)

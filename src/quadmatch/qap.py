@@ -44,9 +44,6 @@ class QapInstance:
     def n(self) -> int:
         return ad.value(self.a_d).shape[0]
 
-    def values(self) -> "QapInstance":
-        return QapInstance(ad.value(self.a_d), ad.value(self.b_d), ad.value(self.x_u))
-
 
 @dataclass
 class TraceStep:
@@ -90,8 +87,17 @@ def objective_gradient(x, inst: QapInstance):
     if xv.shape != (inst.n, inst.n):
         raise InvalidInputError("assignment shape does not match the instance")
     r = inst.a_d - (x @ inst.b_d) @ ad.transpose(x)
-    quad = ad.transpose(r) @ (x @ inst.b_d) + r @ (x @ ad.transpose(inst.b_d))
-    return -2.0 * quad - inst.x_u
+    # a second x @ B, not the residual's: on the tape a shared product would
+    # send its summed upstream gradient through one matmul instead of each
+    # part through its own, which moves the last bits of training gradients
+    return _gradient(r, x @ inst.b_d, x @ ad.transpose(inst.b_d), inst.x_u)
+
+
+def _gradient(r, xb, xbt, u):
+    """``-2 (r^T xb + r xbt) - u``: the objective's gradient from its residual
+    ``r = A - x B x^T``, the products ``xb = x B`` and ``xbt = x B^T``, and the
+    unary ``u``."""
+    return -2.0 * (ad.transpose(r) @ xb + r @ xbt) - u
 
 
 def fw_step_size(k: int) -> float:
@@ -155,21 +161,22 @@ def frank_wolfe_infer(x0, inst: QapInstance):
     the returned objective never exceeds the initialization's.
     Stops early once the rounded iterate repeats between rounds.
 
-    Each step forms ``x @ B`` and the residual ``A - x B x^T`` once, after
-    its update, and takes from them both the traced objective and the next
-    step's gradient; the arithmetic is that of ``objective`` and of
+    The instance is read as it is: its matrices, like ``x0``, must be plain
+    arrays, and a tape ``Var`` raises ``InvalidInputError``. Each step forms
+    ``x @ B`` and the residual ``A - x B x^T`` once, after its update, and
+    takes from them both the traced objective and the next step's gradient;
+    the arithmetic is that of ``objective`` and of
     ``hungarian(-objective_gradient(x, inst))``, so every value is the same
     bits.
     """
-    if isinstance(x0, ad.Var):
-        raise InvalidInputError("inference solver is not differentiable; pass a plain array")
+    a, b, u = inst.a_d, inst.b_d, inst.x_u
+    if any(isinstance(t, ad.Var) for t in (x0, a, b, u)):
+        raise InvalidInputError("inference solver is not differentiable; pass plain arrays")
     x = np.asarray(x0, dtype=float)
-    inst_v = inst.values()
-    a, b, u = inst_v.a_d, inst_v.b_d, inst_v.x_u
     trace = SolveTrace(converged=False)
 
     best = hungarian(x)
-    best_val = float(objective(best, inst_v))
+    best_val = float(objective(best, inst))
 
     prev_rounded = None
     for outer in range(FW_INFER_ROUNDS):
@@ -177,8 +184,7 @@ def frank_wolfe_infer(x0, inst: QapInstance):
         r = a - xb @ x.T
         for inner in range(FW_INFER_MAX_INNER):
             eps = fw_step_size(inner)
-            g = -2.0 * (r.T @ xb + r @ (x @ b.T)) - u
-            s = hungarian(-g)
+            s = hungarian(-_gradient(r, xb, x @ b.T, u))
             fixed = np.array_equal(s, x)
             x = x - eps * (x - s)
             xb = x @ b
@@ -187,7 +193,7 @@ def frank_wolfe_infer(x0, inst: QapInstance):
             if fixed:
                 break
         rounded = hungarian(x)
-        val = float(objective(rounded, inst_v))
+        val = float(objective(rounded, inst))
         if val < best_val:
             best, best_val = rounded, val
         if prev_rounded is not None and np.array_equal(rounded, prev_rounded):

@@ -19,7 +19,6 @@ from .graphs import weighted_adjacency
 from .projections import sinkhorn
 
 DEFAULT_LAYERS = 2
-KERNEL_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -30,8 +29,10 @@ class ParameterSet:
     square in the attribute dimension, as is ``w_aff``. ``seed`` records the
     RNG seed used at initialization; sets derived through ``replace_flat``,
     gradients included, carry the seed of the set they were derived from.
-    The flat layout (``tensors`` order) is defined here only: gradients and
-    SGD updates go through ``flatten`` and ``replace_flat``.
+    The checkpoint names and the flat layout are the order of ``tensors``,
+    spelled there only; every derived set is rebuilt from such a mapping by
+    ``from_tensors``, and gradients and SGD updates go through ``flatten``
+    and ``replace_flat``.
     """
 
     w_r: tuple
@@ -56,32 +57,33 @@ class ParameterSet:
         out["w_aff"] = self.w_aff
         return out
 
+    @classmethod
+    def from_tensors(cls, tensors, n_layers: int, seed: int | None = None) -> "ParameterSet":
+        """The set whose ``tensors()`` are the named entries of ``tensors``."""
+        return cls(tuple(tensors[f"w_r.{l + 1}"] for l in range(n_layers)),
+                   tuple(tensors[f"w_s.{l + 1}"] for l in range(n_layers)),
+                   tensors["w_aff"], seed=seed)
+
     def flatten(self) -> np.ndarray:
         return np.concatenate([ad.value(t).ravel() for t in self.tensors().values()])
 
     def replace_flat(self, flat: np.ndarray) -> "ParameterSet":
         """New set with the same shapes filled from a flat vector."""
         flat = np.asarray(flat, dtype=float)
-        w_r, w_s = [], []
-        pos = 0
-        for l in range(self.n_layers):
-            for bucket, ref in ((w_r, self.w_r[l]), (w_s, self.w_s[l])):
-                size = ad.value(ref).size
-                bucket.append(flat[pos:pos + size].reshape(ad.value(ref).shape))
-                pos += size
-        size = ad.value(self.w_aff).size
-        w_aff = flat[pos:pos + size].reshape(ad.value(self.w_aff).shape)
-        pos += size
+        out, pos = {}, 0
+        for name, t in self.tensors().items():
+            ref = ad.value(t)
+            out[name] = flat[pos:pos + ref.size].reshape(ref.shape)
+            pos += ref.size
         if pos != flat.size:
             raise InvalidInputError("flat parameter vector has the wrong length")
-        return ParameterSet(tuple(w_r), tuple(w_s), w_aff, seed=self.seed)
+        return ParameterSet.from_tensors(out, self.n_layers, seed=self.seed)
 
     def lift(self) -> tuple["ParameterSet", list]:
         """Copy onto the autodiff tape; returns the lifted set and its leaves."""
-        leaves = [ad.Var(ad.value(t)) for t in self.tensors().values()]
-        w_r = tuple(leaves[2 * l] for l in range(self.n_layers))
-        w_s = tuple(leaves[2 * l + 1] for l in range(self.n_layers))
-        return ParameterSet(w_r, w_s, leaves[-1], seed=self.seed), leaves
+        leaves = {name: ad.Var(ad.value(t)) for name, t in self.tensors().items()}
+        return (ParameterSet.from_tensors(leaves, self.n_layers, seed=self.seed),
+                list(leaves.values()))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.flatten()))
@@ -132,12 +134,9 @@ def load_parameters(path) -> ParameterSet:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     try:
-        n_layers = int(obj["n_layers"])
-        tensors = obj["tensors"]
-        w_r = tuple(np.asarray(tensors[f"w_r.{l + 1}"], dtype=float) for l in range(n_layers))
-        w_s = tuple(np.asarray(tensors[f"w_s.{l + 1}"], dtype=float) for l in range(n_layers))
-        params = ParameterSet(w_r, w_s, np.asarray(tensors["w_aff"], dtype=float), seed=obj.get("seed"))
-    except (KeyError, TypeError) as exc:
+        tensors = {name: np.asarray(t, dtype=float) for name, t in obj["tensors"].items()}
+        params = ParameterSet.from_tensors(tensors, int(obj["n_layers"]), seed=obj.get("seed"))
+    except (AttributeError, KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed checkpoint: {exc}") from exc
     params.validate()
     return params
@@ -158,13 +157,13 @@ def refine_pipeline(p_a, p_b, adj_a, adj_b, params: ParameterSet):
     Returns the final attributes and the final weighted adjacencies
     (the initial reweighting when the parameter set has no layers).
     """
-    a_d = weighted_adjacency(p_a, adj_a, eps=KERNEL_EPS)
-    b_d = weighted_adjacency(p_b, adj_b, eps=KERNEL_EPS)
+    a_d = weighted_adjacency(p_a, adj_a)
+    b_d = weighted_adjacency(p_b, adj_b)
     for w_r, w_s in zip(params.w_r, params.w_s):
         p_a = gcn_layer(p_a, a_d, w_r, w_s)
         p_b = gcn_layer(p_b, b_d, w_r, w_s)
-        a_d = weighted_adjacency(p_a, adj_a, eps=KERNEL_EPS)
-        b_d = weighted_adjacency(p_b, adj_b, eps=KERNEL_EPS)
+        a_d = weighted_adjacency(p_a, adj_a)
+        b_d = weighted_adjacency(p_b, adj_b)
     return p_a, p_b, a_d, b_d
 
 

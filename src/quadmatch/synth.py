@@ -73,11 +73,7 @@ def gen_synthetic_pair(cfg: SynthConfig, rng: np.random.Generator | None = None)
     features_b = np.empty_like(features_a)
     features_b[perm] = prototypes[class_of] + cfg.feature_noise * rng.normal(size=(n, d))
 
-    pair = make_pair(
-        KeypointSet(coords_a, features_a, labels=tuple(int(c) for c in class_of)),
-        KeypointSet(coords_b, features_b,
-                    labels=tuple(int(c) for c in class_of[np.argsort(perm)])),
-        perm)
+    pair = make_pair(KeypointSet(coords_a, features_a), KeypointSet(coords_b, features_b), perm)
     if cfg.n_outliers > 0:
         pair = inject_outliers(pair, cfg.n_outliers, rng=rng)
     return pair

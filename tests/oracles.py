@@ -171,24 +171,23 @@ def stepwise_frank_wolfe_infer(x0, inst: QapInstance):
     each of them, and every Hungarian call is ``floyd_warshall_hungarian``.
     """
     x = np.asarray(x0, dtype=float)
-    inst_v = inst.values()
     trace = SolveTrace(converged=False)
 
     best = floyd_warshall_hungarian(x)
-    best_val = float(objective(best, inst_v))
+    best_val = float(objective(best, inst))
 
     prev_rounded = None
     for outer in range(FW_INFER_ROUNDS):
         for inner in range(FW_INFER_MAX_INNER):
             eps = fw_step_size(inner)
-            s = floyd_warshall_hungarian(-objective_gradient(x, inst_v))
+            s = floyd_warshall_hungarian(-objective_gradient(x, inst))
             fixed = np.array_equal(s, x)
             x = x - eps * (x - s)
-            trace.steps.append(TraceStep(outer, inner, eps, float(objective(x, inst_v))))
+            trace.steps.append(TraceStep(outer, inner, eps, float(objective(x, inst))))
             if fixed:
                 break
         rounded = floyd_warshall_hungarian(x)
-        val = float(objective(rounded, inst_v))
+        val = float(objective(rounded, inst))
         if val < best_val:
             best, best_val = rounded, val
         if prev_rounded is not None and np.array_equal(rounded, prev_rounded):

@@ -110,11 +110,41 @@ def test_scaling_loss_scales_gradient(rng):
     np.testing.assert_allclose(v2.grad, 2.0 * v1.grad, rtol=1e-12)
 
 
+# every primitive next to the numpy call it must equal on plain arrays
+PRIMITIVES = {
+    "add": (ad.add, np.add, 2),
+    "sub": (ad.sub, np.subtract, 2),
+    "mul": (ad.mul, np.multiply, 2),
+    "div": (ad.div, np.divide, 2),
+    "matmul": (ad.matmul, np.matmul, 2),
+    "neg": (ad.neg, np.negative, 1),
+    "transpose": (ad.transpose, np.transpose, 1),
+    "exp": (ad.exp, np.exp, 1),
+    "log": (ad.log, np.log, 1),
+    "sqrt": (ad.sqrt, np.sqrt, 1),
+    "relu": (ad.relu, lambda x: np.maximum(x, 0.0), 1),
+    "clip": (lambda x: ad.clip(x, 1.2, 1.7), lambda x: np.clip(x, 1.2, 1.7), 1),
+    "asum": (lambda x: ad.asum(x, axis=1), lambda x: np.sum(x, axis=1), 1),
+    "asum_keepdims": (lambda x: ad.asum(x, axis=0, keepdims=True),
+                      lambda x: np.sum(x, axis=0, keepdims=True), 1),
+    "amax": (ad.amax, np.max, 1),
+}
+
+
 def test_numpy_passthrough(rng):
-    x = rng.uniform(1.0, 2.0, size=(3, 3))
-    assert isinstance(ad.exp(x), np.ndarray)
-    assert isinstance(ad.asum(x, axis=1), np.ndarray)
-    assert float(ad.amax(x)) == x.max()
+    for name, (prim, reference, arity) in PRIMITIVES.items():
+        args = [rng.uniform(1.0, 2.0, size=(3, 3)) for _ in range(arity)]
+        expected = reference(*args)
+        plain = prim(*args)
+        assert not isinstance(plain, ad.Var), name
+        np.testing.assert_array_equal(plain, expected, err_msg=name)
+        assert np.asarray(plain).dtype == np.asarray(expected).dtype, name
+        # any Var argument puts the op on the tape with the same value
+        for k in range(arity):
+            mixed = [ad.Var(a) if i == k else a for i, a in enumerate(args)]
+            out = prim(*mixed)
+            assert isinstance(out, ad.Var), name
+            np.testing.assert_array_equal(out.data, expected, err_msg=name)
 
 
 def test_backward_requires_scalar(rng):

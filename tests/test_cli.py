@@ -1,6 +1,7 @@
 """End-to-end CLI runs: synth -> train -> eval -> match, plus exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -216,3 +217,33 @@ def test_bad_config_exit_code(tmp_path, capsys, command, config, fragment):
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert "Traceback" not in err
+
+
+def _fractional_gt(obj):
+    obj["gt_permutation"] = [0, 1, 2, 3, 4.7]
+
+
+def _huge_features(obj):
+    # squares overflow, so the cosine kernel could not normalize this row
+    obj["graph_a"]["features"][0] = [1e160] * 4
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (_fractional_gt, "ground truth entries must be integer"),
+    (_huge_features, "feature rows are too large"),
+], ids=["fractional_gt", "huge_features"])
+def test_bad_pair_exit_code(tmp_path, capsys, edit, fragment):
+    pair_file = tmp_path / "pair.json"
+    save_pair(gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3)), str(pair_file))
+    obj = json.loads(pair_file.read_text())
+    edit(obj)
+    pair_file.write_text(json.dumps(obj))
+    ckpt = str(tmp_path / "ckpt.json")
+    save_parameters(init_parameters(6, n_layers=1, seed=0), ckpt)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["match", "--pair", str(pair_file), "--checkpoint", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quadmatch import autodiff as ad
 from quadmatch.errors import InvalidInputError
-from quadmatch.graphs import (KeypointSet, assemble_attributes, build_graph,
+from quadmatch.graphs import (KERNEL_EPS, KeypointSet, assemble_attributes, build_graph,
                               delaunay_adjacency, linear_kernel, make_pair,
                               normalize_coordinates, pair_from_dict, pair_to_dict,
                               weighted_adjacency)
@@ -78,39 +77,35 @@ class TestNormalizeCoordinates:
 
 class TestDelaunayAdjacency:
     def test_triangle_is_complete(self):
-        res = delaunay_adjacency([(0, 0), (1, 0), (0.5, 1)])
-        np.testing.assert_array_equal(res.adjacency, np.ones((3, 3)) - np.eye(3))
-        assert not res.collinear_fallback
+        adj = delaunay_adjacency([(0, 0), (1, 0), (0.5, 1)])
+        np.testing.assert_array_equal(adj, np.ones((3, 3)) - np.eye(3))
 
     def test_interior_point_gives_k4(self):
-        res = delaunay_adjacency([(0, 0), (4, 0), (2, 3), (2, 1)])
-        np.testing.assert_array_equal(res.adjacency, np.ones((4, 4)) - np.eye(4))
+        adj = delaunay_adjacency([(0, 0), (4, 0), (2, 3), (2, 1)])
+        np.testing.assert_array_equal(adj, np.ones((4, 4)) - np.eye(4))
         np.testing.assert_array_equal(
-            res.adjacency, brute_force_delaunay([(0, 0), (4, 0), (2, 3), (2, 1)]))
+            adj, brute_force_delaunay([(0, 0), (4, 0), (2, 3), (2, 1)]))
 
     def test_two_points_single_edge(self):
-        res = delaunay_adjacency([(0, 0), (1, 1)])
-        np.testing.assert_array_equal(res.adjacency, [[0, 1], [1, 0]])
+        adj = delaunay_adjacency([(0, 0), (1, 1)])
+        np.testing.assert_array_equal(adj, [[0, 1], [1, 0]])
 
     def test_collinear_falls_back_to_path(self):
-        res = delaunay_adjacency([(0, 0), (2, 0), (1, 0), (3, 0)])
-        assert res.collinear_fallback
+        adj = delaunay_adjacency([(0, 0), (2, 0), (1, 0), (3, 0)])
         # path in sorted-x order: 0-2, 2-1... sorted order is x=0,1,2,3 -> nodes 0,2,1,3
         expected = np.zeros((4, 4))
         for a, b in [(0, 2), (2, 1), (1, 3)]:
             expected[a, b] = expected[b, a] = 1.0
-        np.testing.assert_array_equal(res.adjacency, expected)
+        np.testing.assert_array_equal(adj, expected)
 
     def test_coincident_points_fall_back(self):
-        res = delaunay_adjacency([(1.0, 1.0)] * 4)
-        assert res.collinear_fallback
-        assert res.adjacency.sum() == 2 * 3  # a path over 4 nodes
+        adj = delaunay_adjacency([(1.0, 1.0)] * 4)
+        assert adj.sum() == 2 * 3  # a path over 4 nodes
 
     @given(seed=st.integers(0, 2_000), n=st.integers(4, 12))
     def test_matches_brute_force(self, seed, n):
         coords = np.random.default_rng(seed).uniform(size=(n, 2))
-        res = delaunay_adjacency(coords)
-        np.testing.assert_array_equal(res.adjacency, brute_force_delaunay(coords))
+        np.testing.assert_array_equal(delaunay_adjacency(coords), brute_force_delaunay(coords))
 
     @given(seed=st.integers(0, 2_000))
     def test_similarity_invariance(self, seed):
@@ -119,13 +114,13 @@ class TestDelaunayAdjacency:
         theta = rng.uniform(0, 2 * np.pi)
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         moved = coords @ rot.T * rng.uniform(0.5, 20.0) + rng.uniform(-5, 5, size=2)
-        base = delaunay_adjacency(coords).adjacency
-        np.testing.assert_array_equal(delaunay_adjacency(moved).adjacency, base)
+        base = delaunay_adjacency(coords)
+        np.testing.assert_array_equal(delaunay_adjacency(moved), base)
 
     @given(seed=st.integers(0, 5_000), n=st.integers(3, 12))
     def test_symmetric_zero_diagonal(self, seed, n):
         coords = np.random.default_rng(seed).uniform(size=(n, 2))
-        adj = delaunay_adjacency(coords).adjacency
+        adj = delaunay_adjacency(coords)
         np.testing.assert_array_equal(adj, adj.T)
         assert np.all(np.diag(adj) == 0)
 
@@ -152,40 +147,47 @@ class TestAttributes:
             assemble_attributes(np.ones((3, 4)), np.ones((2, 2)))
 
 
+def shrink(norm):
+    """Factor by which ``KERNEL_EPS`` scales a row of the given norm."""
+    return norm / (norm + KERNEL_EPS)
+
+
 class TestLinearKernel:
     def test_identical_rows_all_ones(self):
         p = np.tile([1.0, 2.0, 3.0], (4, 1))
-        np.testing.assert_allclose(linear_kernel(p), np.ones((4, 4)), atol=1e-12)
+        np.testing.assert_allclose(linear_kernel(p), np.full((4, 4), shrink(np.sqrt(14.0)) ** 2),
+                                   atol=1e-12)
 
     def test_orthogonal_rows_identity(self):
-        np.testing.assert_allclose(linear_kernel(np.eye(2)), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(linear_kernel(np.eye(2)), shrink(1.0) ** 2 * np.eye(2),
+                                   atol=1e-15)
 
     def test_hand_cosine(self):
         k = linear_kernel(np.array([[1.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(k[0, 1], 1 / np.sqrt(2), atol=1e-12)
+        np.testing.assert_allclose(k[0, 1], 1 / ((np.sqrt(2) + KERNEL_EPS) * (1 + KERNEL_EPS)),
+                                   atol=1e-12)
 
-    def test_zero_row_rejected(self):
-        with pytest.raises(InvalidInputError):
-            linear_kernel(np.array([[1.0, 0.0], [0.0, 0.0]]))
-
-    def test_eps_allows_zero_rows(self):
-        k = linear_kernel(np.array([[1.0, 0.0], [0.0, 0.0]]), eps=1e-8)
-        assert np.all(np.isfinite(ad.value(k)))
+    def test_zero_row_gives_zero_kernel_row(self):
+        k = linear_kernel(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        np.testing.assert_array_equal(k[1], [0.0, 0.0])
+        np.testing.assert_array_equal(k[:, 1], [0.0, 0.0])
+        np.testing.assert_allclose(k[0, 0], shrink(1.0) ** 2, atol=1e-15)
 
     @given(seed=st.integers(0, 5_000), n=st.integers(2, 12), d=st.integers(1, 8))
     def test_gram_psd_and_bounded(self, seed, n, d):
         p = np.random.default_rng(seed).normal(size=(n, d))
         k = linear_kernel(p)
         assert np.all(np.abs(k) <= 1.0 + 1e-12)
-        np.testing.assert_allclose(np.diag(k), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(k), shrink(np.linalg.norm(p, axis=1)) ** 2, atol=1e-12)
         assert np.linalg.eigvalsh(k).min() >= -1e-8
 
 
 class TestWeightedAdjacency:
     def test_identical_rows_reduce_to_mask(self, rng):
         p = np.tile(rng.normal(size=3), (4, 1))
-        adj = delaunay_adjacency(rng.uniform(size=(4, 2))).adjacency
-        np.testing.assert_allclose(weighted_adjacency(p, adj), adj, atol=1e-12)
+        adj = delaunay_adjacency(rng.uniform(size=(4, 2)))
+        np.testing.assert_allclose(weighted_adjacency(p, adj),
+                                   shrink(np.linalg.norm(p[0])) ** 2 * adj, atol=1e-12)
 
     def test_zero_mask_annihilates(self, rng):
         p = rng.normal(size=(4, 3))
@@ -195,15 +197,16 @@ class TestWeightedAdjacency:
         p = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         adj = np.ones((3, 3)) - np.eye(3)
         w = weighted_adjacency(p, adj)
+        k3 = 1 / ((np.sqrt(2) + KERNEL_EPS) * (1 + KERNEL_EPS))
         np.testing.assert_allclose(w[0, 1], 0.0, atol=1e-12)
-        np.testing.assert_allclose(w[0, 2], 1 / np.sqrt(2), atol=1e-12)
-        np.testing.assert_allclose(w[1, 2], 1 / np.sqrt(2), atol=1e-12)
+        np.testing.assert_allclose(w[0, 2], k3, atol=1e-12)
+        np.testing.assert_allclose(w[1, 2], k3, atol=1e-12)
 
     @given(seed=st.integers(0, 5_000), n=st.integers(3, 10))
     def test_symmetric_zero_diag_bounded(self, seed, n):
         rng = np.random.default_rng(seed)
         p = rng.normal(size=(n, 4))
-        adj = delaunay_adjacency(rng.uniform(size=(n, 2))).adjacency
+        adj = delaunay_adjacency(rng.uniform(size=(n, 2)))
         w = weighted_adjacency(p, adj)
         np.testing.assert_allclose(w, w.T, atol=1e-12)
         assert np.all(np.diag(w) == 0)
@@ -227,6 +230,18 @@ class TestPairIO:
         with pytest.raises(InvalidInputError):
             make_pair(a, b, [0, 0, 1])
 
+    @pytest.mark.parametrize("entry", [0.5, 4.7])
+    def test_fractional_ground_truth_rejected(self, rng, entry):
+        a = KeypointSet(rng.uniform(size=(5, 2)), rng.normal(size=(5, 2)))
+        b = KeypointSet(rng.uniform(size=(5, 2)), rng.normal(size=(5, 2)))
+        gt = [0, 1, 2, 3, entry]
+        with pytest.raises(InvalidInputError, match="integer"):
+            make_pair(a, b, gt)
+        obj = pair_to_dict(make_pair(a, b, [0, 1, 2, 3, 4]))
+        obj["gt_permutation"] = gt
+        with pytest.raises(InvalidInputError, match="integer"):
+            pair_from_dict(obj)
+
     def test_malformed_dict_rejected(self):
         with pytest.raises(InvalidInputError):
             pair_from_dict({"graph_a": {}})
@@ -236,4 +251,5 @@ class TestPairIO:
         g = build_graph(kp)
         assert g.attributes.shape == (6, 6)
         assert g.coords_norm.min() >= 0 and g.coords_norm.max() <= 1
-        assert not g.collinear_fallback
+        # a triangulation (at least n edges), not the collinear path (n - 1)
+        assert g.adjacency.sum() / 2 >= g.n

@@ -1,5 +1,6 @@
 """Synthetic generation, outlier injection, and the benchmark report."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -58,10 +59,14 @@ class TestGenSyntheticPair:
         np.testing.assert_array_equal(pair.a.adjacency,
                                       perm_m @ pair.b.adjacency @ perm_m.T)
 
-    def test_labels_follow_permutation(self):
-        pair = gen_synthetic_pair(small_cfg(classes=3))
-        for i, j in enumerate(pair.gt):
-            assert pair.a.keypoints.labels[i] == pair.b.keypoints.labels[j]
+    def test_features_follow_permutation(self):
+        # without feature noise each node of B carries exactly the prototype
+        # row of the node of A that the ground truth maps onto it
+        for seed, rotate_b in itertools.product(range(10), (False, True)):
+            pair = gen_synthetic_pair(small_cfg(classes=3, feature_noise=0.0,
+                                                rotate_b=rotate_b, seed=seed))
+            np.testing.assert_array_equal(pair.b.keypoints.features[pair.gt],
+                                          pair.a.keypoints.features)
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
@@ -239,7 +244,7 @@ class TestBenchmark:
         params = init_parameters(pairs[0].a.attributes.shape[1], n_layers=2, seed=5)
         hits = 0
         for pair in pairs:
-            best, _ = brute_force_qap(forward(pair, params).instance.values())
+            best, _ = brute_force_qap(forward(pair, params).instance)
             gap = match_pair(pair, params, "full").objective - best
             assert gap >= -1e-9
             hits += gap <= 1e-9

@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -261,6 +262,10 @@ class TestFrankWolfeInfer:
         inst = random_instance(rng, 3)
         with pytest.raises(InvalidInputError):
             frank_wolfe_infer(ad.Var(np.eye(3)), inst)
+        for field in ("a_d", "b_d", "x_u"):
+            on_tape = replace(inst, **{field: ad.Var(getattr(inst, field))})
+            with pytest.raises(InvalidInputError):
+                frank_wolfe_infer(np.eye(3), on_tape)
 
     def test_fixed_point_stops_each_round_after_one_step(self, rng):
         # the Hungarian direction at the unary's favoured permutation is that

@@ -9,7 +9,7 @@ from quadmatch import autodiff as ad
 from quadmatch.errors import InvalidInputError
 from quadmatch.graphs import delaunay_adjacency, weighted_adjacency
 from quadmatch.projections import hungarian, sinkhorn
-from quadmatch.refine import (KERNEL_EPS, AffinityResult, ParameterSet, gcn_layer,
+from quadmatch.refine import (AffinityResult, ParameterSet, gcn_layer,
                               init_assignment, init_parameters, load_parameters,
                               node_affinity, refine_pipeline, save_parameters)
 
@@ -17,7 +17,7 @@ from quadmatch.refine import (KERNEL_EPS, AffinityResult, ParameterSet, gcn_laye
 def small_graph(rng, n=4, d=3):
     coords = rng.uniform(size=(n, 2))
     attrs = np.hstack([rng.normal(size=(n, d)), coords])
-    adj = delaunay_adjacency(coords).adjacency
+    adj = delaunay_adjacency(coords)
     return attrs, adj
 
 
@@ -70,8 +70,8 @@ class TestRefinePipeline:
         params = init_parameters(5, n_layers=0, seed=1)
         p_a, p_b, a_d, b_d = refine_pipeline(attrs_a, attrs_b, adj_a, adj_b, params)
         assert p_a is attrs_a and p_b is attrs_b
-        np.testing.assert_allclose(a_d, weighted_adjacency(attrs_a, adj_a, eps=KERNEL_EPS))
-        np.testing.assert_allclose(b_d, weighted_adjacency(attrs_b, adj_b, eps=KERNEL_EPS))
+        np.testing.assert_allclose(a_d, weighted_adjacency(attrs_a, adj_a))
+        np.testing.assert_allclose(b_d, weighted_adjacency(attrs_b, adj_b))
 
     def test_training_eps_keeps_zero_rows_finite(self, rng):
         attrs_a, adj_a = small_graph(rng)
@@ -88,13 +88,13 @@ class TestRefinePipeline:
         p_a, p_b, a_d, b_d = refine_pipeline(attrs_a, attrs_b, adj_a, adj_b, params)
         # straight-line recomputation
         xa, xb = attrs_a, attrs_b
-        wa = weighted_adjacency(xa, adj_a, eps=KERNEL_EPS)
-        wb = weighted_adjacency(xb, adj_b, eps=KERNEL_EPS)
+        wa = weighted_adjacency(xa, adj_a)
+        wb = weighted_adjacency(xb, adj_b)
         for w_r, w_s in zip(params.w_r, params.w_s):
             xa = np.maximum((wa @ xa) @ w_r + xa @ w_s, 0.0)
             xb = np.maximum((wb @ xb) @ w_r + xb @ w_s, 0.0)
-            wa = weighted_adjacency(xa, adj_a, eps=KERNEL_EPS)
-            wb = weighted_adjacency(xb, adj_b, eps=KERNEL_EPS)
+            wa = weighted_adjacency(xa, adj_a)
+            wb = weighted_adjacency(xb, adj_b)
         np.testing.assert_allclose(p_a, xa, atol=1e-12)
         np.testing.assert_allclose(b_d, wb, atol=1e-12)
 
@@ -218,7 +218,7 @@ class TestRefineGradients:
         n, d = 5, 4
         attrs_a = np.hstack([rng.normal(size=(n, d)), rng.uniform(size=(n, 2))])
         attrs_b = np.hstack([rng.normal(size=(n, d)), rng.uniform(size=(n, 2))])
-        adj = delaunay_adjacency(rng.uniform(size=(n, 2))).adjacency
+        adj = delaunay_adjacency(rng.uniform(size=(n, 2)))
         readout = rng.normal(size=(n, n))
         params = init_parameters(d + 2, n_layers=1, seed=4)
 
