@@ -167,7 +167,8 @@ class TestLinearKernel:
         np.testing.assert_allclose(k[0, 1], 1 / ((np.sqrt(2) + KERNEL_EPS) * (1 + KERNEL_EPS)),
                                    atol=1e-12)
 
-    def test_zero_row_gives_zero_kernel_row(self):
+    def test_eps_allows_zero_rows(self):
+        # KERNEL_EPS keeps a zero row finite: it gives an exact zero kernel row and column
         k = linear_kernel(np.array([[1.0, 0.0], [0.0, 0.0]]))
         np.testing.assert_array_equal(k[1], [0.0, 0.0])
         np.testing.assert_array_equal(k[:, 1], [0.0, 0.0])
