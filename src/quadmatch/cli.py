@@ -11,9 +11,9 @@ Config files are JSON with optional "synth" and "train" sections mirroring
 the corresponding dataclass fields; any other top-level key is an error.
 Inference (match, eval, bench-robust) runs at fixed solver settings: a
 smooth Frank-Wolfe warm start at m1=3, m2=5, tau=1.0, then at most 10
-discrete rounds of at most 50 Hungarian steps each; the run stops on a
-repeated rounding. Exit codes: 0 success, 1 invalid input or usage, 2
-numerical failure.
+discrete rounds of at most 50 Hungarian steps each; the run stops once a
+round's rounding repeats any earlier round's. Exit codes: 0 success, 1
+invalid input or usage, 2 numerical failure.
 """
 
 from __future__ import annotations

@@ -83,6 +83,9 @@ class GraphPair:
             raise InvalidInputError("ground truth entries must be integer node indices")
         if gt.shape != (self.a.n,):
             raise InvalidInputError("ground truth must have one entry per node of graph a")
+        if np.any(gt < -1):
+            raise InvalidInputError("ground truth entries must be node indices of graph b, "
+                                    "or -1 for an outlier")
         matched = gt[gt >= 0]
         if matched.size and (matched.max() >= self.b.n or np.unique(matched).size != matched.size):
             raise InvalidInputError("ground truth must map distinct nodes into graph b")

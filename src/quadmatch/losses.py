@@ -99,7 +99,7 @@ def permutation_to_matrix(perm, n_cols: int | None = None) -> np.ndarray:
         raise InvalidInputError("permutation vector must be 1-D")
     n = p.shape[0]
     m = n if n_cols is None else n_cols
-    if np.any(p >= m):
+    if np.any(p >= m) or np.any(p < -1):
         raise InvalidInputError("permutation index out of range")
     out = np.zeros((n, m))
     for i, j in enumerate(p):

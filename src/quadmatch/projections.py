@@ -7,6 +7,7 @@ assignment at inference (discrete).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,7 @@ def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
 
 
 def hungarian(score) -> np.ndarray:
-    """Permutation matrix maximizing ``sum(score * X)``.
+    """Permutation matrix maximizing ``sum(score * X)``, as float64 zeros and ones.
 
     One assignment solve gives an optimum sigma. A second solve, on the score
     with sigma's entries lowered by the tolerance, certifies sigma as the
@@ -121,19 +122,22 @@ def hungarian(score) -> np.ndarray:
     s = np.asarray(score, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
         raise InvalidInputError(f"hungarian expects a square matrix, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
+    # one maximum serves both checks: a NaN or an infinite entry makes it non-finite
+    top = float(np.maximum.reduce(np.abs(s), axis=None))
+    if not math.isfinite(top):
         raise InvalidInputError("hungarian requires finite entries")
 
     n = s.shape[0]
-    tol = 1e-9 * max(1.0, float(np.abs(s).max()) * n)
+    tol = 1e-9 * max(1.0, top * n)
     rows, cols = linear_sum_assignment(s, maximize=True)
-    # lower sigma's entries by tol and solve again: sigma drops by n * tol,
-    # any other permutation, which moves k >= 2 rows off sigma, by only
-    # (n - k) * tol, so if sigma still wins it leads every other by 2 * tol
-    lowered = s.copy()
-    lowered[rows, cols] -= tol
-    if np.array_equal(linear_sum_assignment(lowered, maximize=True)[1], cols):
-        return np.eye(n)[cols]
+    perm = np.zeros((n, n))
+    perm[rows, cols] = 1.0
+    # lower sigma's entries by tol and solve again (s - tol * perm leaves every
+    # other entry exactly as it is): sigma drops by n * tol, any other
+    # permutation, which moves k >= 2 rows off sigma, by only (n - k) * tol,
+    # so if sigma still wins it leads every other by 2 * tol
+    if linear_sum_assignment(s - tol * perm, maximize=True)[1].tolist() == cols.tolist():
+        return perm
 
     # loss[r, q]: value lost when row r takes row q's column; the solve is
     # optimal, so no cycle is negative and shortest paths are well defined
@@ -162,4 +166,6 @@ def hungarian(score) -> np.ndarray:
                     cols[i], cols[i + 1:] = j, rest[match]
                     break
             free[cols[i]] = False
-    return np.eye(n)[cols]
+        perm.fill(0.0)
+        perm[rows, cols] = 1.0
+    return perm

@@ -159,7 +159,10 @@ def frank_wolfe_infer(x0, inst: QapInstance):
     rounds to a permutation. The best discrete iterate by objective value is
     tracked across the run, starting from the plain rounding of ``x0``, so
     the returned objective never exceeds the initialization's.
-    Stops early once the rounded iterate repeats between rounds.
+    The run is deterministic and each round after the first starts from the
+    previous round's rounding, so once a rounding repeats any earlier
+    round's, the rounds left would replay rounds already scored and cannot
+    change the best iterate: the run stops there with ``converged`` set.
 
     The instance is read as it is: its matrices, like ``x0``, must be plain
     arrays, and a tape ``Var`` raises ``InvalidInputError``. Each step forms
@@ -178,27 +181,31 @@ def frank_wolfe_infer(x0, inst: QapInstance):
     best = hungarian(x)
     best_val = float(objective(best, inst))
 
-    prev_rounded = None
+    bt = b.T
+    seen = set()  # the bytes of every round's rounding so far
     for outer in range(FW_INFER_ROUNDS):
         xb = x @ b
         r = a - xb @ x.T
         for inner in range(FW_INFER_MAX_INNER):
             eps = fw_step_size(inner)
-            s = hungarian(-_gradient(r, xb, x @ b.T, u))
-            fixed = np.array_equal(s, x)
+            s = hungarian(-_gradient(r, xb, x @ bt, u))
+            fixed = (s == x).all()
             x = x - eps * (x - s)
             xb = x @ b
             r = a - xb @ x.T
-            trace.steps.append(TraceStep(outer, inner, eps, float(np.sum(r * r) - np.sum(u * x))))
+            # np.add.reduce over all axes is what np.sum runs: the same bits
+            value = np.add.reduce(r * r, axis=None) - np.add.reduce(u * x, axis=None)
+            trace.steps.append(TraceStep(outer, inner, eps, float(value)))
             if fixed:
                 break
         rounded = hungarian(x)
         val = float(objective(rounded, inst))
         if val < best_val:
             best, best_val = rounded, val
-        if prev_rounded is not None and np.array_equal(rounded, prev_rounded):
+        key = rounded.tobytes()
+        if key in seen:
             trace.converged = True
             break
-        prev_rounded = rounded
+        seen.add(key)
         x = rounded
     return best, trace

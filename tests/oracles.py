@@ -165,10 +165,15 @@ def unrolled_sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResul
 def stepwise_frank_wolfe_infer(x0, inst: QapInstance):
     """Discrete Frank-Wolfe built from the public per-step functions.
 
-    Same rounds, steps, stopping rules and trace as ``qap.frank_wolfe_infer``,
+    Same rounds, steps, fixed-point stop and trace as ``qap.frank_wolfe_infer``,
     but each step takes the Hungarian direction from ``objective_gradient`` and
     ``objective`` for the traced value, so the residual is formed afresh in
     each of them, and every Hungarian call is ``floyd_warshall_hungarian``.
+    Between rounds it stops only when a rounding equals the previous round's,
+    where the solver stops at a repeat of any earlier round's: on a cycle of
+    two or more roundings it replays the cycle up to ``FW_INFER_ROUNDS``, so
+    its trace extends the solver's (see ``assert_trace_extends``) and its
+    answer is the same.
     """
     x = np.asarray(x0, dtype=float)
     trace = SolveTrace(converged=False)
@@ -196,6 +201,25 @@ def stepwise_frank_wolfe_infer(x0, inst: QapInstance):
         prev_rounded = rounded
         x = rounded
     return best, trace
+
+
+def assert_trace_extends(trace: SolveTrace, oracle: SolveTrace) -> None:
+    """The solver's trace against ``stepwise_frank_wolfe_infer``'s on one solve.
+
+    Either both ran the same steps, and the traces are identical with equal
+    ``converged``; or the solver met a cycle of two or more roundings and
+    stopped first: its trace is a strict prefix of the oracle's, it
+    converged, and the oracle replayed the cycle through all
+    ``FW_INFER_ROUNDS`` rounds without converging.
+    """
+    csv, csv_o = trace.to_csv(), oracle.to_csv()
+    if len(trace.steps) == len(oracle.steps):
+        assert csv == csv_o
+        assert trace.converged == oracle.converged
+    else:
+        assert len(trace.steps) < len(oracle.steps) and csv_o.startswith(csv)
+        assert trace.converged and not oracle.converged
+        assert oracle.steps[-1].outer == FW_INFER_ROUNDS - 1
 
 
 def finite_difference_grad(pair, params, cfg: TrainConfig, *, step: float = FD_STEP):

@@ -1,9 +1,14 @@
 """End-to-end CLI runs: synth -> train -> eval -> match, plus exit codes."""
 
+import contextlib
+import io
 import json
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadmatch.cli import main
 from quadmatch.errors import NumericalFailureError
@@ -223,6 +228,10 @@ def _fractional_gt(obj):
     obj["gt_permutation"] = [0, 1, 2, 3, 4.7]
 
 
+def _gt_below_minus_one(obj):
+    obj["gt_permutation"] = [0, 1, 2, 3, -5]
+
+
 def _huge_features(obj):
     # squares overflow, so the cosine kernel could not normalize this row
     obj["graph_a"]["features"][0] = [1e160] * 4
@@ -230,8 +239,9 @@ def _huge_features(obj):
 
 @pytest.mark.parametrize("edit,fragment", [
     (_fractional_gt, "ground truth entries must be integer"),
+    (_gt_below_minus_one, "or -1 for an outlier"),
     (_huge_features, "feature rows are too large"),
-], ids=["fractional_gt", "huge_features"])
+], ids=["fractional_gt", "gt_below_minus_one", "huge_features"])
 def test_bad_pair_exit_code(tmp_path, capsys, edit, fragment):
     pair_file = tmp_path / "pair.json"
     save_pair(gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3)), str(pair_file))
@@ -247,3 +257,99 @@ def test_bad_pair_exit_code(tmp_path, capsys, edit, fragment):
     assert err.startswith("error:") and fragment in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "RuntimeWarning" not in err
+
+
+# Degenerate pair files for the match fuzz below: valid but awkward
+# coordinates, features and ground truth, each map taking (rng, n) or n.
+# Features are two columns wide, the checkpoint's input width.
+FUZZ_COORDS = {
+    "spread": lambda rng, n: rng.uniform(0.0, 100.0, size=(n, 2)),
+    "duplicate": lambda rng, n: np.full((n, 2), 3.0),
+    "collinear": lambda rng, n: np.outer(np.arange(n), [1.0, 2.0]),
+    "huge": lambda rng, n: rng.uniform(-1.0, 1.0, size=(n, 2)) * 1e300,
+    "tiny": lambda rng, n: rng.uniform(-1.0, 1.0, size=(n, 2)) * 1e-300,
+}
+FUZZ_FEATURES = {
+    "normal": lambda rng, n: rng.normal(size=(n, 2)),
+    "zero": lambda rng, n: np.zeros((n, 2)),
+    "tiny": lambda rng, n: rng.normal(size=(n, 2)) * 1e-300,
+    "large": lambda rng, n: rng.normal(size=(n, 2)) * 1e150,
+}
+FUZZ_GT = {
+    "identity": lambda n: list(range(n)),
+    "reversed": lambda n: list(range(n))[::-1],
+    "outliers": lambda n: [-1] * n,
+}
+# at most one fault per file, each an edit of the valid pair object
+FUZZ_FAULTS = {
+    "gt_minus_five": lambda obj, n: obj.update(gt_permutation=list(range(n - 1)) + [-5]),
+    "gt_fractional": lambda obj, n: obj.update(gt_permutation=list(range(n - 1)) + [0.5]),
+    "gt_out_of_range": lambda obj, n: obj.update(gt_permutation=list(range(n - 1)) + [n + 3]),
+    "gt_repeated": lambda obj, n: obj.update(gt_permutation=[0] * max(n, 2)),
+    "gt_short": lambda obj, n: obj.update(gt_permutation=list(range(n - 1))),
+    "gt_text": lambda obj, n: obj.update(gt_permutation="0 1 2"),
+    "gt_null": lambda obj, n: obj.update(gt_permutation=None),
+    "overflowing_features": lambda obj, n: obj["graph_a"].update(features=[[1e160, 1e160]] * n),
+    "too_wide_features": lambda obj, n: obj["graph_b"].update(features=[[1.0, 2.0, 3.0]] * n),
+    "graph_b_larger": lambda obj, n: obj["graph_b"].update(
+        coords=obj["graph_b"]["coords"] + [[0.5, 0.5]],
+        features=obj["graph_b"]["features"] + [[0.5, 0.5]]),
+    "missing_key": lambda obj, n: obj.pop("graph_b"),
+    "nan_coords": lambda obj, n: obj["graph_a"].update(coords=[[float("nan"), 0.0]] * n),
+}
+FUZZ_MALFORMED = ["", "{", "[]", "null", '"pair"', '{"graph_a": {}}', "NaN",
+                  '{"graph_a": {"coords": "x", "features": []}, "graph_b": 1, '
+                  '"gt_permutation": []}']
+
+
+@st.composite
+def fuzz_pair_text(draw):
+    """The text of a degenerate pair file with n = 1-3 nodes: odd but valid,
+    or with one fault, or cut short, or JSON that is no pair at all.
+    Returns (text, whether the file is a valid pair)."""
+    kind = draw(st.sampled_from(["valid", "fault", "cut", "malformed"]))
+    if kind == "malformed":
+        return draw(st.sampled_from(FUZZ_MALFORMED)), False
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    obj = {}
+    for key in ("graph_a", "graph_b"):
+        coords = FUZZ_COORDS[draw(st.sampled_from(sorted(FUZZ_COORDS)))](rng, n)
+        features = FUZZ_FEATURES[draw(st.sampled_from(sorted(FUZZ_FEATURES)))](rng, n)
+        obj[key] = {"coords": coords.tolist(), "features": features.tolist()}
+    obj["gt_permutation"] = FUZZ_GT[draw(st.sampled_from(sorted(FUZZ_GT)))](n)
+    if kind == "fault":
+        FUZZ_FAULTS[draw(st.sampled_from(sorted(FUZZ_FAULTS)))](obj, n)
+    text = json.dumps(obj)
+    if kind == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text, kind == "valid"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    save_parameters(init_parameters(4, n_layers=1, seed=0), str(path / "ckpt.json"))
+    return path
+
+
+@settings(max_examples=50)
+@given(case=fuzz_pair_text(), ablate=st.sampled_from([None, "qc", "pairwise", "prior"]))
+def test_match_fuzz_exits_cleanly(fuzz_dir, case, ablate):
+    # a degenerate but valid pair file matches (exit 0); any other is
+    # reported as invalid input (exit 1, one "error:" line); never a traceback
+    text, valid = case
+    pair_file = fuzz_dir / "pair.json"
+    pair_file.write_text(text)
+    argv = ["match", "--pair", str(pair_file), "--checkpoint", str(fuzz_dir / "ckpt.json")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv + (["--ablate", ablate] if ablate else []))
+    assert code == (0 if valid else 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if valid:
+        assert out.getvalue().startswith("permutation: ")
+    else:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

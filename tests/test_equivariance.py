@@ -3,9 +3,10 @@
 A pair with graph B's nodes, or graph A's, listed in another order is the
 same matching problem, so the permutation-equivariant pipeline (Maron et al.
 2019, arXiv:1812.09902) must return the old match under that relabeling, at
-the same objective, and the parameter gradient must not move. Outlier pairs
-are left out: the Hungarian directions there meet tolerance ties, which the
-lexicographic rule breaks by node index.
+the same objective, and the parameter gradient must not move. On outlier
+pairs the Hungarian directions meet tolerance ties, which the lexicographic
+rule breaks by node index, so there only a floor on the count of
+equivariant answers is pinned.
 """
 
 import numpy as np
@@ -33,8 +34,9 @@ def relabel_b(pair, order):
     """Node k of the new graph B is node ``order[k]`` of the old one."""
     kp = pair.b.keypoints
     new_index = np.argsort(order)
-    moved = make_pair(pair.a.keypoints, KeypointSet(kp.coords[order], kp.features[order]),
-                      new_index[pair.gt])
+    # an outlier's -1 stays -1
+    gt = np.where(pair.gt >= 0, new_index[pair.gt], -1)
+    moved = make_pair(pair.a.keypoints, KeypointSet(kp.coords[order], kp.features[order]), gt)
     return moved, lambda perm: new_index[perm]
 
 
@@ -72,3 +74,26 @@ def test_gradient_ignores_relabeling(pairs, params, relabel):
         g = grad_params(pair, params, cfg)[0].flatten()
         g_moved = grad_params(moved, params, cfg)[0].flatten()
         assert np.linalg.norm(g_moved - g) <= 1e-9 * np.linalg.norm(g)
+
+
+def test_outlier_pairs_equivariance_floor():
+    # The rows and columns of outlier nodes in the FW direction score carry
+    # entries near zero, far below hungarian's tolerance, so they tie and the
+    # lexicographic rule picks by node index; one tied direction sends the
+    # rest of the FW run elsewhere. Measured: full follows the relabeling on
+    # 13 of these 20 relabelings, no_qc (a single rounding, no FW) on all 20.
+    pairs = gen_dataset(easy_config(seed=3, n_inliers=16, n_outliers=8), 10)
+    params = init_parameters(18, 2, seed=3)
+    rng = np.random.default_rng(3)
+    hits = {"full": 0, "no_qc": 0}
+    for pair in pairs:
+        base = {variant: match_pair(pair, params, variant) for variant in hits}
+        for _ in range(2):
+            moved, follow = relabel_b(pair, rng.permutation(pair.b.n))
+            for variant, res in base.items():
+                again = match_pair(moved, params, variant)
+                hits[variant] += bool(
+                    np.array_equal(again.permutation, follow(res.permutation))
+                    and abs(again.objective - res.objective) <= 1e-12 * abs(res.objective))
+    assert hits["full"] >= 13
+    assert hits["no_qc"] == 20

@@ -243,6 +243,20 @@ class TestPairIO:
         with pytest.raises(InvalidInputError, match="integer"):
             pair_from_dict(obj)
 
+    @pytest.mark.parametrize("entry", [-2, -5])
+    def test_ground_truth_below_minus_one_rejected(self, rng, entry):
+        # only -1 marks an outlier; any other negative entry is a typo that
+        # would silently drop a match from the accuracy
+        a = KeypointSet(rng.uniform(size=(3, 2)), rng.normal(size=(3, 2)))
+        b = KeypointSet(rng.uniform(size=(3, 2)), rng.normal(size=(3, 2)))
+        gt = [0, 1, entry]
+        with pytest.raises(InvalidInputError, match="or -1 for an outlier"):
+            make_pair(a, b, gt)
+        obj = pair_to_dict(make_pair(a, b, [0, 1, -1]))
+        obj["gt_permutation"] = gt
+        with pytest.raises(InvalidInputError, match="or -1 for an outlier"):
+            pair_from_dict(obj)
+
     def test_malformed_dict_rejected(self):
         with pytest.raises(InvalidInputError):
             pair_from_dict({"graph_a": {}})

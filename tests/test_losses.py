@@ -196,6 +196,11 @@ class TestMetrics:
         assert accuracy(relabel @ pred, relabel @ x_star) == accuracy(pred, x_star)
         assert f1_score(relabel @ pred, relabel @ x_star) == f1_score(pred, x_star)
 
+    @pytest.mark.parametrize("vec", [[0, 1, -5], [-2, 0, 1]])
+    def test_entry_below_minus_one_rejected(self, vec):
+        with pytest.raises(InvalidInputError, match="out of range"):
+            permutation_to_matrix(vec, 3)
+
     def test_vector_matrix_roundtrip(self):
         vec = np.array([2, 0, -1, 1])
         mat = permutation_to_matrix(vec, 4)

@@ -273,8 +273,17 @@ class TestHungarian:
         assert len(calls) == 4
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(InvalidInputError):
-            hungarian(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInputError, match="finite entries"):
+                hungarian(np.array([[1.0, bad], [0.0, 1.0]]))
+
+    def test_returns_float_zero_one_matrix(self, rng):
+        for score in (rng.normal(size=(6, 6)), np.ones((6, 6)), np.arange(4).reshape(2, 2)):
+            perm = hungarian(score)
+            assert perm.dtype == np.float64
+            assert set(np.unique(perm)) == {0.0, 1.0}
+            np.testing.assert_array_equal(perm.sum(axis=0), 1.0)
+            np.testing.assert_array_equal(perm.sum(axis=1), 1.0)
 
     def test_rejects_tape_variable(self):
         with pytest.raises(InvalidInputError):

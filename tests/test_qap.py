@@ -10,12 +10,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import quadratic_assignment
 
-from oracles import brute_force_qap, stepwise_frank_wolfe_infer
+from oracles import assert_trace_extends, brute_force_qap, stepwise_frank_wolfe_infer
 from quadmatch import autodiff as ad
+from quadmatch import qap
 from quadmatch.errors import InvalidInputError
 from quadmatch.projections import hungarian, sinkhorn
 from quadmatch.qap import (QapInstance, frank_wolfe_infer, frank_wolfe_train,
                            fw_direction, fw_step_size, objective, objective_gradient)
+from quadmatch.refine import init_parameters
+from quadmatch.synth import ambiguous_config, gen_dataset
+from quadmatch.train import forward
 
 
 def random_instance(rng, n, unary_scale=1.0):
@@ -305,8 +309,33 @@ class TestFrankWolfeInfer:
         out, trace = frank_wolfe_infer(x0, inst)
         out_o, trace_o = stepwise_frank_wolfe_infer(x0, inst)
         np.testing.assert_array_equal(out, out_o)
-        assert trace.to_csv() == trace_o.to_csv()
-        assert trace.converged == trace_o.converged
+        assert float(objective(out, inst)) == float(objective(out_o, inst))
+        assert_trace_extends(trace, trace_o)
+
+    def test_stops_at_first_repeated_rounding(self, monkeypatch):
+        # a C7-style pair whose roundings enter a cycle of two or more: the
+        # solver stops at the first repeat, after 5 rounds of 50 steps, where
+        # the oracle's one-back test replays the cycle through all 10 rounds
+        pair = gen_dataset(ambiguous_config(seed=1), 12)[0]
+        res = forward(pair, init_parameters(18, 2, seed=1))
+        x0, inst = ad.value(res.assignment), res.instance
+        out_o, trace_o = stepwise_frank_wolfe_infer(x0, inst)
+        calls = []
+
+        def counted(score):
+            calls.append(1)
+            return hungarian(score)
+
+        monkeypatch.setattr(qap, "hungarian", counted)
+        out, trace = frank_wolfe_infer(x0, inst)
+        np.testing.assert_array_equal(out, out_o)
+        assert float(objective(out, inst)) == float(objective(out_o, inst))
+        assert (len(trace.steps), trace.steps[-1].outer) == (250, 4)
+        assert (len(trace_o.steps), trace_o.steps[-1].outer) == (500, 9)
+        assert_trace_extends(trace, trace_o)
+        assert trace.converged
+        # the rounding of x0, one per step, one per round
+        assert len(calls) == 1 + 250 + 5
 
     def test_arguments_left_unchanged(self, rng):
         inst = random_instance(rng, 7)
