@@ -223,6 +223,9 @@ def pair_to_dict(pair: GraphPair) -> dict:
 
 
 def pair_from_dict(obj: dict) -> GraphPair:
+    if not isinstance(obj, dict):
+        raise InvalidInputError("a graph pair must be a JSON object with 'graph_a', "
+                                "'graph_b' and 'gt_permutation'")
     try:
         ga, gb = obj["graph_a"], obj["graph_b"]
         a = KeypointSet(np.asarray(ga["coords"], dtype=float), np.asarray(ga["features"], dtype=float))
@@ -251,6 +254,6 @@ def save_dataset(pairs, path) -> None:
 def load_dataset(path) -> list[GraphPair]:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if not isinstance(obj, dict) or "pairs" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("pairs"), list):
         raise InvalidInputError("dataset file must contain a 'pairs' array")
     return [pair_from_dict(p) for p in obj["pairs"]]

@@ -27,40 +27,32 @@ class SinkhornResult:
     iterations: int
 
 
-def _logsumexp(x: np.ndarray, axis: int, buf: np.ndarray) -> np.ndarray:
-    """Log-sum-exp along ``axis``, kept as a size-1 axis, through ``buf``.
-
-    The ufuncs of the oracle ``logsumexp`` in the same order, so the same
-    bits, with the n-by-n temporary in the scratch buffer ``buf`` (clobbered).
-    """
-    top = np.maximum.reduce(x, axis=axis, keepdims=True)
-    np.subtract(x, top, out=buf)
-    np.exp(buf, out=buf)
-    total = np.add.reduce(buf, axis=axis, keepdims=True)
-    np.log(total, out=total)
-    return np.add(top, total, out=total)
-
-
 def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
     """Alternating row/column normalization toward a doubly-stochastic matrix.
 
     Takes the log of the matrix to normalize (finite entries), so affinities
     too spread out to exponentiate pass through without underflowing to
-    zero; a positive matrix ``m`` goes in as ``ad.log(m)``. Runs exactly
-    ``max_iter`` rounds, which keeps the map smooth for differentiation, and
-    returns the exponentiated last iterate. The argument is never written to.
+    zero; a positive matrix ``m`` goes in as ``ad.log(m)``. Returns the
+    exponentiated last iterate. The argument is never written to.
 
-    Each half-step subtracts the log-sum-exp along one axis, computed by
-    direct ufunc calls through one reused scratch buffer; off the tape the
-    log iterate is a private copy updated in place, so a call allocates a
-    fixed handful of n-by-n arrays whatever ``max_iter`` is.
+    Each half-step subtracts the log-sum-exp along one axis in seven ufunc
+    calls, the oracle ``logsumexp``'s in the same order, so the same bits:
+    the maximum and the sum reduce into two reused length-n buffers, seen
+    through ``(n, 1)`` or ``(1, n)`` views, and the n-by-n temporary goes
+    through one reused scratch buffer.
 
-    On the training tape the whole normalization is one node: each half-step
-    writes a new array, because the forward pass keeps every normalized log
-    iterate (up to ``2 * max_iter`` n-by-n arrays, held only while the tape
-    lives), and the backward pass replays them in reverse through one
-    scratch buffer. Its gradient is bit for bit the one a tape holding one
-    node per operation of the loop gives.
+    Off the tape the log iterate is a private copy updated in place, and
+    the loop stops at a bitwise fixed point: when a round ends on the bytes
+    it started from, every remaining round would reproduce them, so the
+    result is the one ``max_iter`` rounds give. ``iterations`` is the number
+    of rounds computed, at most ``max_iter``.
+
+    On the training tape the whole normalization is one node and every
+    round runs (``iterations`` is ``max_iter``): the forward pass writes each
+    normalized log iterate into one ``(2 * max_iter, n, n)`` block, held only
+    while the tape lives, and the backward pass replays them in reverse
+    through the same buffers. Its gradient is bit for bit the one a tape
+    holding one node per operation of the loop gives.
     """
     lv = ad.value(log_m)
     if lv.ndim != 2 or lv.shape[0] != lv.shape[1] or lv.shape[0] < 1:
@@ -69,34 +61,59 @@ def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
         raise InvalidInputError("sinkhorn requires finite entries")
 
     on_tape = isinstance(log_m, ad.Var)
-    iterates = []  # (axis, normalized log iterate) per half-step, tape only
-    log_x = np.array(lv)
-    buf = np.empty_like(log_x)
-    for _ in range(max_iter):
-        for axis in (1, 0):
-            lse = _logsumexp(log_x, axis, buf)
-            log_x = np.subtract(log_x, lse, out=None if on_tape else log_x)
-            if on_tape:
-                iterates.append((axis, log_x))
+    n = lv.shape[0]
+    top, tot = np.empty(n), np.empty(n)
+    # the two reductions as kept size-1 axes: (n, 1) for rows, (1, n) for columns
+    top_rows, tot_rows, top_cols, tot_cols = top[:, None], tot[:, None], top[None, :], tot[None, :]
+    buf = np.empty_like(lv)
+    if on_tape:
+        iterates = np.empty((2 * max_iter, n, n))
+        x = lv
+    else:
+        x = np.array(lv)
+        start = x.tobytes()
+    for r in range(max_iter):
+        to_rows, to_cols = (iterates[2 * r], iterates[2 * r + 1]) if on_tape else (x, x)
+        np.maximum.reduce(x, 1, None, top)
+        np.subtract(x, top_rows, buf)
+        np.exp(buf, buf)
+        np.add.reduce(buf, 1, None, tot)
+        np.log(tot, tot)
+        np.add(top, tot, tot)
+        x = np.subtract(x, tot_rows, to_rows)
+        np.maximum.reduce(x, 0, None, top)
+        np.subtract(x, top_cols, buf)
+        np.exp(buf, buf)
+        np.add.reduce(buf, 0, None, tot)
+        np.log(tot, tot)
+        np.add(top, tot, tot)
+        x = np.subtract(x, tot_cols, to_cols)
+        if not on_tape:
+            end = x.tobytes()
+            if end == start:
+                return SinkhornResult(np.exp(x, x), r + 1)
+            start = end
     if not on_tape:
-        return SinkhornResult(np.exp(log_x, out=log_x), max_iter)
-    out = np.exp(log_x)
+        return SinkhornResult(np.exp(x, x), max_iter)
+    out = np.exp(x)
 
     def bw(g):
-        # reverse of log_x <- log_x - lse(log_x): g <- g - softmax * sum(g)
+        # reverse of x <- x - lse(x): g <- g - softmax * sum(g); the even
+        # half-steps normalized rows, the odd ones columns
         g = g * out
-        for axis, y in reversed(iterates[1:]):
-            total = np.add.reduce(g, axis=axis, keepdims=True)
-            np.multiply(np.exp(y, out=buf), total, out=buf)
-            np.subtract(g, buf, out=g)
+        for k in range(2 * max_iter - 1, 0, -1):
+            axis, tot_v = (0, tot_cols) if k % 2 else (1, tot_rows)
+            np.add.reduce(g, axis, None, tot)
+            np.exp(iterates[k], buf)
+            np.multiply(buf, tot_v, buf)
+            np.subtract(g, buf, g)
         # the first half-step reads log_m directly: add its two terms one at
         # a time, as a tape of one node per operation does, so that log_m's
         # other uses sum into its grad in the same order and the result is
         # the same
         log_m.grad += g
-        if iterates:
-            axis, y = iterates[0]
-            log_m.grad -= np.exp(y) * g.sum(axis=axis, keepdims=True)
+        if max_iter:
+            log_m.grad -= np.exp(iterates[0]) * g.sum(axis=1, keepdims=True)
 
     return SinkhornResult(ad.Var(out, (log_m,), bw), max_iter)
 

@@ -110,6 +110,12 @@ def forward(pair: GraphPair, params: ParameterSet, *,
     """
     if pair.a.n != pair.b.n:
         raise InvalidInputError("forward requires graphs of equal size")
+    for name, g in (("graph_a", pair.a), ("graph_b", pair.b)):
+        width = g.attributes.shape[1]
+        if width != params.dim:
+            raise InvalidInputError(
+                f"{name} attributes are {width} wide ({width - 2} feature columns plus 2 "
+                f"coordinates), but the checkpoint takes attributes {params.dim} wide")
     p_a, p_b, a_d, b_d = refine_pipeline(
         pair.a.attributes, pair.b.attributes, pair.a.adjacency, pair.b.adjacency, params)
     aff = node_affinity(p_a, p_b, params.w_aff)

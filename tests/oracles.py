@@ -151,7 +151,8 @@ def logsumexp(a, axis: int, keepdims: bool = False):
 def unrolled_sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
     """Sinkhorn normalization built from tape primitives, one node per operation.
 
-    Same input and round count as ``projections.sinkhorn``; on a tape ``Var``
+    Same input and result as ``projections.sinkhorn``, but it runs every one
+    of the ``max_iter`` rounds, as the tape branch does; on a tape ``Var``
     every half-step adds a ``logsumexp`` and a ``sub`` node, so reverse mode
     differentiates the unrolled loop operation by operation.
     """

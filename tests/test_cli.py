@@ -259,6 +259,55 @@ def test_bad_pair_exit_code(tmp_path, capsys, edit, fragment):
     assert "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("text", ["[]", "1", '"pair"', "NaN", "null"])
+def test_pair_not_an_object_exit_code(tmp_path, capsys, text):
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(text)
+    ckpt = str(tmp_path / "ckpt.json")
+    save_parameters(init_parameters(6, n_layers=1, seed=0), ckpt)
+    assert main(["match", "--pair", str(pair_file), "--checkpoint", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: a graph pair must be a JSON object with 'graph_a', 'graph_b' "
+                   "and 'gt_permutation'\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize("text,fragment", [
+    ('{"pairs": 5}', "must contain a 'pairs' array"),
+    ('{"pairs": {"graph_a": 1}}', "must contain a 'pairs' array"),
+    ('{"pairs": "pair"}', "must contain a 'pairs' array"),
+    ("[]", "must contain a 'pairs' array"),
+    ('{"pairs": [1]}', "a graph pair must be a JSON object"),
+    ('{"pairs": [[]]}', "a graph pair must be a JSON object"),
+], ids=["number", "object", "string", "top_level_array", "number_pair", "array_pair"])
+def test_malformed_dataset_exit_code(tmp_path, capsys, command, text, fragment):
+    data = tmp_path / "data.json"
+    data.write_text(text)
+    ckpt = str(tmp_path / "ckpt.json")
+    save_parameters(init_parameters(6, n_layers=1, seed=0), ckpt)
+    argv = {
+        "eval": ["eval", "--data", str(data), "--checkpoint", ckpt,
+                 "--out", str(tmp_path / "r.csv")],
+        "train": ["train", "--data", str(data), "--out", str(tmp_path / "c.json")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n_layers", [0, 2])
+def test_feature_width_mismatch_names_both_widths(tmp_path, capsys, n_layers):
+    # features 4 wide make attributes 6 wide; the checkpoint takes 4
+    pair_file = tmp_path / "pair.json"
+    save_pair(gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3)), str(pair_file))
+    ckpt = str(tmp_path / "ckpt.json")
+    save_parameters(init_parameters(4, n_layers=n_layers, seed=0), ckpt)
+    assert main(["match", "--pair", str(pair_file), "--checkpoint", ckpt]) == 1
+    assert capsys.readouterr().err == (
+        "error: graph_a attributes are 6 wide (4 feature columns plus 2 coordinates), "
+        "but the checkpoint takes attributes 4 wide\n")
+
+
 # Degenerate pair files for the match fuzz below: valid but awkward
 # coordinates, features and ground truth, each map taking (rng, n) or n.
 # Features are two columns wide, the checkpoint's input width.

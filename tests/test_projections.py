@@ -1,6 +1,7 @@
 """Sinkhorn and Hungarian against closed forms and brute-force oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from oracles import floyd_warshall_hungarian, lexicographic_hungarian, unrolled_
 from quadmatch import autodiff as ad
 from quadmatch import projections
 from quadmatch.errors import InvalidInputError
-from quadmatch.projections import hungarian, sinkhorn
+from quadmatch.projections import SINKHORN_MAX_ITER, hungarian, sinkhorn
 
 
 def brute_force_assignment(score):
@@ -93,6 +94,57 @@ class TestSinkhorn:
     def test_fixed_iteration_mode(self):
         res = sinkhorn(np.log(np.array([[1.0, 2.0], [3.0, 4.0]])), max_iter=7)
         assert res.iterations == 7
+
+    @pytest.mark.parametrize("case", ["zeros", "single", "normalized", "converging"])
+    def test_fixed_point_stop(self, case):
+        # off the tape a round that ends on the bytes it started from ends
+        # the loop; the tape runs every round, and both give the oracle's bits
+        normalized = sinkhorn(np.log(positive_matrix(np.random.default_rng(1), 6)), max_iter=500)
+        log_m, max_iter = {
+            "zeros": (np.zeros((5, 5)), SINKHORN_MAX_ITER),
+            "single": (np.log(np.array([[7.0]])), SINKHORN_MAX_ITER),
+            "normalized": (np.log(normalized.matrix), SINKHORN_MAX_ITER),
+            "converging": (np.random.default_rng(0).normal(scale=3.0, size=(6, 6)), 500),
+        }[case]
+        res = sinkhorn(log_m, max_iter=max_iter)
+        assert 0 < res.iterations < max_iter
+        tape = sinkhorn(ad.Var(log_m), max_iter=max_iter)
+        assert tape.iterations == max_iter
+        oracle = unrolled_sinkhorn(log_m, max_iter=max_iter).matrix
+        assert res.matrix.tobytes() == ad.value(tape.matrix).tobytes() == oracle.tobytes()
+
+    def test_zero_rounds_is_exp(self, rng):
+        log_m = rng.normal(scale=3.0, size=(5, 5))
+        res = sinkhorn(log_m, max_iter=0)
+        assert res.iterations == 0
+        assert res.matrix.tobytes() == np.exp(log_m).tobytes()
+
+    # from n = 3 on, no seed tried reaches a bitwise fixed point in 10 rounds
+    # (a 2 x 2 with a dominant diagonal can)
+    @given(n=st.integers(3, 24), max_iter=st.integers(0, 10), seed=st.integers(0, 10_000))
+    def test_random_input_runs_every_round(self, n, max_iter, seed):
+        log_m = np.random.default_rng(seed).normal(scale=3.0, size=(n, n))
+        assert sinkhorn(log_m, max_iter=max_iter).iterations == max_iter
+
+    def test_allocation_floor(self, rng):
+        # off the tape a call allocates the same few arrays whatever max_iter
+        # is; on the tape it adds one (2 * max_iter, n, n) block of iterates
+        # and no array per half-step
+        n = 6
+        log_m = rng.normal(scale=3.0, size=(n, n))
+
+        def peak(arg, max_iter):
+            tracemalloc.start()
+            try:
+                sinkhorn(arg, max_iter=max_iter)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(log_m, 200) <= peak(log_m, 5)
+        block = 2 * (200 - 5) * n * n * 8
+        growth = peak(ad.Var(log_m), 200) - peak(ad.Var(log_m), 5)
+        assert abs(growth - block) < 0.05 * block
 
     @given(n=st.integers(1, 24), through_log=st.booleans(), max_iter=st.integers(0, 60),
            seed=st.integers(0, 10_000))
