@@ -9,6 +9,7 @@ with a numerical failure, which is the phenomenon under study.
 import argparse
 
 from quadmatch.errors import NumericalFailureError
+from quadmatch.files import write_text
 from quadmatch.losses import LossConfig
 from quadmatch.synth import easy_config, gen_dataset
 from quadmatch.train import TrainConfig, train
@@ -33,13 +34,13 @@ def main():
         path = f"{args.out_prefix}_{tag}.csv"
         try:
             _, history = train(pairs, cfg)
-            history.write_csv(path)
+            write_text(path, history.to_csv())
             final = history.entries[-1]
             print(f"{tag}: completed, final loss {final.mean_loss:.4g}, "
                   f"train acc {final.train_accuracy:.3f} -> {path}")
         except NumericalFailureError as exc:
             if exc.history is not None:
-                exc.history.write_csv(path)
+                write_text(path, exc.history.to_csv())
             done = len(exc.history.entries) if exc.history else 0
             print(f"{tag}: aborted at stage '{exc.stage}' after {done} epochs -> {path}")
 

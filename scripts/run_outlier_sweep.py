@@ -8,7 +8,8 @@ writes accuracy vs outlier count as CSV.
 import argparse
 
 from quadmatch.bench import outlier_sweep, sweep_to_csv
-from quadmatch.synth import easy_config, gen_dataset
+from quadmatch.files import write_text
+from quadmatch.synth import OUTLIER_SIGMA, easy_config, gen_dataset
 from quadmatch.train import TrainConfig, train
 
 
@@ -18,7 +19,7 @@ def main():
     ap.add_argument("--eval-pairs", type=int, default=30)
     ap.add_argument("--epochs", type=int, default=30)
     ap.add_argument("--kmax", type=int, default=4)
-    ap.add_argument("--sigma", type=float, default=10.0)
+    ap.add_argument("--sigma", type=float, default=OUTLIER_SIGMA)
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--out", default="outlier_sweep.csv")
     args = ap.parse_args()
@@ -29,8 +30,7 @@ def main():
     params, _ = train(train_pairs, TrainConfig(epochs=args.epochs, seed=args.seed))
     rows = outlier_sweep(eval_pairs, params, ks=tuple(range(args.kmax + 1)),
                          outlier_sigma=args.sigma, seed=args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(sweep_to_csv(rows))
+    write_text(args.out, sweep_to_csv(rows))
     for r in rows:
         print(f"k={r['k']}: accuracy {r['mean_accuracy']:.3f}  f1 {r['mean_f1']:.3f}")
     print(f"sweep written to {args.out}")

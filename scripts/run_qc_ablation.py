@@ -9,6 +9,7 @@ variants and writes the report CSV.
 import argparse
 
 from quadmatch.bench import run_benchmark
+from quadmatch.files import write_text
 from quadmatch.refine import init_parameters
 from quadmatch.synth import ambiguous_config, gen_dataset
 
@@ -25,7 +26,7 @@ def main():
     params = init_parameters(cfg.d + 2, seed=args.seed)
 
     report = run_benchmark(pairs, params)
-    report.write_csv(args.out)
+    write_text(args.out, report.to_csv())
     print(f"{args.pairs} pairs, n={cfg.n_inliers}, {cfg.classes} prototypes")
     for row in report.rows:
         print(f"  {row.variant:12s} accuracy {row.mean_accuracy:.3f}  f1 {row.mean_f1:.3f}")

@@ -214,29 +214,19 @@ def clip(a, lo: float, hi: float):
 
 
 def asum(a, axis=None, keepdims=False):
-    if not isinstance(a, Var):
-        return np.sum(value(a), axis=axis, keepdims=keepdims)
-    out = np.sum(a.data, axis=axis, keepdims=keepdims)
-    shape = a.data.shape
-
-    def bw(g):
-        gg = np.asarray(g)
+    def da(g, av, out):
         if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        a.grad += np.broadcast_to(gg, shape)
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, av.shape)
 
-    return Var(out, (a,), bw)
+    return _unary(lambda x: np.sum(x, axis=axis, keepdims=keepdims), a, da)
 
 
 def amax(a):
     """Global maximum with gradient routed to the first maximizer."""
-    if not isinstance(a, Var):
-        return np.max(value(a))
-    data = a.data
+    def da(g, av, out):
+        mask = np.zeros_like(av)
+        mask[np.unravel_index(np.argmax(av), av.shape)] = 1.0
+        return mask * g
 
-    def bw(g):
-        mask = np.zeros_like(data)
-        mask[np.unravel_index(np.argmax(data), data.shape)] = 1.0
-        a.grad += mask * g
-
-    return Var(np.max(data), (a,), bw)
+    return _unary(np.max, a, da)

@@ -10,8 +10,6 @@ byte-reproducible for fixed seeds.
 
 from __future__ import annotations
 
-import io
-import json
 import time
 from dataclasses import dataclass, field, replace
 
@@ -19,13 +17,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidInputError, NumericalFailureError
+from .files import csv_text, json_text
 from .graphs import Graph, GraphPair, assemble_attributes
 from .losses import accuracy, f1_score, matrix_to_permutation, permutation_to_matrix
 from .projections import hungarian
 from .qap import FW_TRAIN_OUTER, SolveTrace, frank_wolfe_infer, objective
 from .refine import ParameterSet
-from .synth import inject_outliers
-from .train import forward
+from .synth import OUTLIER_SIGMA, inject_outliers
+from .train import check_width, forward
 
 VARIANTS = ("full", "no_qc", "no_pairwise", "no_prior")
 
@@ -62,19 +61,12 @@ class ExperimentReport:
         raise KeyError(variant)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("variant,n_pairs,n_failures,mean_accuracy,mean_f1,mean_objective\n")
-        for r in self.rows:
-            buf.write(f"{r.variant},{r.n_pairs},{r.n_failures},"
-                      f"{r.mean_accuracy!r},{r.mean_f1!r},{r.mean_objective!r}\n")
-        return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
+        return csv_text("variant,n_pairs,n_failures,mean_accuracy,mean_f1,mean_objective",
+                        ((r.variant, r.n_pairs, r.n_failures, r.mean_accuracy, r.mean_f1,
+                          r.mean_objective) for r in self.rows))
 
     def to_json(self) -> str:
-        return json.dumps({"rows": [vars(r) for r in self.rows]}, indent=2, sort_keys=True)
+        return json_text({"rows": [vars(r) for r in self.rows]})
 
 
 def _strip_prior(pair: GraphPair) -> GraphPair:
@@ -127,11 +119,17 @@ def match_pair(pair: GraphPair, params: ParameterSet, variant: str = "full") -> 
 
 def evaluate_pairs(pairs, params: ParameterSet, variant: str = "full") -> VariantResult:
     """Mean metrics of one variant over a dataset; per-pair failures are
-    counted and skipped rather than aborting the run. An unknown variant is
-    the caller's error and raises before any pair runs."""
+    counted and skipped rather than aborting the run. An unknown variant, or
+    a pair whose attribute width the checkpoint does not take, is the
+    caller's error and raises before any pair runs."""
     if not pairs:
         raise InvalidInputError("evaluation requires a non-empty dataset")
     _check_variant(variant)
+    for i, pair in enumerate(pairs):
+        try:
+            check_width(pair, params)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"pair {i}: {exc}") from None
     t0 = time.perf_counter()
     accs, f1s, objs = [], [], []
     failures = 0
@@ -159,7 +157,7 @@ def run_benchmark(pairs, params: ParameterSet) -> ExperimentReport:
 
 
 def outlier_sweep(pairs, params: ParameterSet, ks=(0, 1, 2, 3, 4), *,
-                  outlier_sigma: float = 10.0, seed: int = 0) -> list[dict]:
+                  outlier_sigma: float = OUTLIER_SIGMA, seed: int = 0) -> list[dict]:
     """Accuracy/F1 of the full pipeline as outliers are injected.
 
     Each sweep point re-injects into the clean pairs with a seed derived
@@ -179,8 +177,5 @@ def outlier_sweep(pairs, params: ParameterSet, ks=(0, 1, 2, 3, 4), *,
 
 
 def sweep_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    buf.write("k,mean_accuracy,mean_f1,n_failures\n")
-    for r in rows:
-        buf.write(f"{r['k']},{r['mean_accuracy']!r},{r['mean_f1']!r},{r['n_failures']}\n")
-    return buf.getvalue()
+    return csv_text("k,mean_accuracy,mean_f1,n_failures",
+                    ((r["k"], r["mean_accuracy"], r["mean_f1"], r["n_failures"]) for r in rows))

@@ -19,15 +19,15 @@ invalid input or usage, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .bench import match_pair, outlier_sweep, run_benchmark, sweep_to_csv
 from .errors import InvalidInputError, NumericalFailureError
+from .files import json_text, read_json, write_text
 from .graphs import load_dataset, load_pair, save_dataset
 from .losses import LossConfig
 from .refine import load_parameters, save_parameters
-from .synth import SynthConfig, gen_dataset
+from .synth import OUTLIER_SIGMA, SynthConfig, gen_dataset
 from .train import TrainConfig, train
 
 CONFIG_SECTIONS = ("synth", "train")
@@ -36,8 +36,7 @@ CONFIG_SECTIONS = ("synth", "train")
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise InvalidInputError("config file must contain a JSON object")
     unknown = sorted(set(obj) - set(CONFIG_SECTIONS))
@@ -85,11 +84,11 @@ def _cmd_train(args) -> None:
         params, history = train(pairs, cfg)
     except NumericalFailureError as exc:
         if exc.history is not None and args.history:
-            exc.history.write_csv(args.history)
+            write_text(args.history, exc.history.to_csv())
         raise
     save_parameters(params, args.out)
     if args.history:
-        history.write_csv(args.history)
+        write_text(args.history, history.to_csv())
     final = history.entries[-1]
     print(f"trained {cfg.epochs} epochs: loss {final.mean_loss:.6g}, "
           f"train acc {final.train_accuracy:.3f}")
@@ -107,10 +106,9 @@ def _cmd_match(args) -> None:
     if args.out:
         payload = {"permutation": result.permutation.tolist(), "objective": result.objective,
                    "accuracy": result.accuracy, "f1": result.f1, "variant": variant}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        write_text(args.out, json_text(payload))
     if args.trace:
-        result.trace.write_csv(args.trace)
+        write_text(args.trace, result.trace.to_csv())
 
 
 def _cmd_eval(args) -> None:
@@ -118,10 +116,9 @@ def _cmd_eval(args) -> None:
     params = load_parameters(args.checkpoint)
     _load_config(args.config)
     report = run_benchmark(pairs, params)
-    report.write_csv(args.out)
+    write_text(args.out, report.to_csv())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        write_text(args.json, report.to_json())
     for row in report.rows:
         print(f"{row.variant:12s} acc {row.mean_accuracy:.3f}  f1 {row.mean_f1:.3f}  "
               f"failures {row.n_failures}")
@@ -133,9 +130,7 @@ def _cmd_bench_robust(args) -> None:
     pairs = gen_dataset(synth_cfg, args.n_pairs)
     rows = outlier_sweep(pairs, params, ks=tuple(range(args.kmax + 1)),
                          outlier_sigma=args.sigma, seed=synth_cfg.seed)
-    csv = sweep_to_csv(rows)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(csv)
+    write_text(args.out, sweep_to_csv(rows))
     for r in rows:
         print(f"k={r['k']}: acc {r['mean_accuracy']:.3f}  f1 {r['mean_f1']:.3f}")
 
@@ -183,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--n-pairs", type=int, default=32)
-    p.add_argument("--sigma", type=float, default=10.0)
+    p.add_argument("--sigma", type=float, default=OUTLIER_SIGMA)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_bench_robust)
 
@@ -200,7 +195,8 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"numerical failure ({exc.stage}): {exc}", file=sys.stderr)
         return 2
-    except (InvalidInputError, OSError, json.JSONDecodeError, ValueError) as exc:
+    # InvalidInputError and json.JSONDecodeError are ValueErrors
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

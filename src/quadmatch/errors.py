@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 
+import math
 from numbers import Integral, Real
 
 
@@ -31,9 +32,9 @@ def require_ints(obj, names) -> None:
 
 def require_reals(obj, names) -> None:
     """Raise ``InvalidInputError`` unless each named attribute of ``obj`` is a
-    real number that is not NaN; a bool is rejected, so ``true`` in a JSON
-    config cannot pass as 1.0."""
+    real number, so neither NaN nor +-inf; a bool is rejected, so ``true`` in
+    a JSON config cannot pass as 1.0."""
     for name in names:
         v = getattr(obj, name)
-        if isinstance(v, bool) or not isinstance(v, Real) or v != v:
+        if isinstance(v, bool) or not isinstance(v, Real) or not -math.inf < v < math.inf:
             raise InvalidInputError(f"{name} must be a real number, got {v!r}")

@@ -1,0 +1,32 @@
+"""Every file the package reads or writes, each format spelled once.
+
+A CSV is a header line, then one comma-joined line per row, with each float
+written by ``repr`` so that it reads back exactly and two runs on the same
+seeds give byte-identical files. A JSON file is indented by 2 with sorted
+keys. Every file is UTF-8.
+"""
+
+from __future__ import annotations
+
+import json
+
+
+def csv_text(header: str, rows) -> str:
+    """``header``, then one line per row: floats by ``repr``, the rest by ``str``."""
+    lines = [header] + [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+                        for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)

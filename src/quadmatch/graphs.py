@@ -8,7 +8,6 @@ of node attributes (features with the normalized coordinates appended).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +15,7 @@ from scipy.spatial import Delaunay, QhullError
 
 from . import autodiff as ad
 from .errors import InvalidInputError
+from .files import json_text, read_json, write_text
 
 # added to each attribute row's norm in the cosine kernel, so a row that
 # collapses to zero (a rectified GCN output) gives a zero kernel row
@@ -237,23 +237,19 @@ def pair_from_dict(obj: dict) -> GraphPair:
 
 
 def save_pair(pair: GraphPair, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pair_to_dict(pair), fh, indent=2, sort_keys=True)
+    write_text(path, json_text(pair_to_dict(pair)))
 
 
 def load_pair(path) -> GraphPair:
-    with open(path, "r", encoding="utf-8") as fh:
-        return pair_from_dict(json.load(fh))
+    return pair_from_dict(read_json(path))
 
 
 def save_dataset(pairs, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"pairs": [pair_to_dict(p) for p in pairs]}, fh, indent=2, sort_keys=True)
+    write_text(path, json_text({"pairs": [pair_to_dict(p) for p in pairs]}))
 
 
 def load_dataset(path) -> list[GraphPair]:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("pairs"), list):
         raise InvalidInputError("dataset file must contain a 'pairs' array")
     return [pair_from_dict(p) for p in obj["pairs"]]

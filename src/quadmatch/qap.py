@@ -10,13 +10,13 @@ permutation, tracking the best discrete iterate seen.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidInputError
+from .files import csv_text
 from .projections import hungarian, sinkhorn
 
 FW_TRAIN_OUTER = 3
@@ -61,15 +61,8 @@ class SolveTrace:
     converged: bool = False
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("outer,inner,epsilon,objective\n")
-        for s in self.steps:
-            buf.write(f"{s.outer},{s.inner},{s.epsilon!r},{s.objective!r}\n")
-        return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
+        return csv_text("outer,inner,epsilon,objective",
+                        ((s.outer, s.inner, s.epsilon, s.objective) for s in self.steps))
 
 
 def objective(x, inst: QapInstance):

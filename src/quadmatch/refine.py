@@ -8,13 +8,14 @@ Sinkhorn projection initializes the matching variable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_ints
+from .files import json_text, read_json, write_text
 from .graphs import weighted_adjacency
 from .projections import sinkhorn
 
@@ -29,10 +30,10 @@ class ParameterSet:
     square in the attribute dimension, as is ``w_aff``. ``seed`` records the
     RNG seed used at initialization; sets derived through ``replace_flat``,
     gradients included, carry the seed of the set they were derived from.
-    The checkpoint names and the flat layout are the order of ``tensors``,
-    spelled there only; every derived set is rebuilt from such a mapping by
-    ``from_tensors``, and gradients and SGD updates go through ``flatten``
-    and ``replace_flat``.
+    The checkpoint names and the flat layout are the order of ``names``,
+    spelled there only; every derived set is rebuilt from a mapping of those
+    names by ``from_tensors``, and gradients and SGD updates go through
+    ``flatten`` and ``replace_flat``.
     """
 
     w_r: tuple
@@ -48,21 +49,22 @@ class ParameterSet:
     def dim(self) -> int:
         return ad.value(self.w_aff).shape[0]
 
+    @staticmethod
+    def names(n_layers: int) -> list:
+        """Checkpoint names of a set of ``n_layers`` layers, in order
+        (w_r.1, w_s.1, ..., w_aff)."""
+        return [f"{w}.{l + 1}" for l in range(n_layers) for w in ("w_r", "w_s")] + ["w_aff"]
+
     def tensors(self) -> dict:
-        """Named entries in checkpoint order (w_r.1, w_s.1, ..., w_aff)."""
-        out = {}
-        for l in range(self.n_layers):
-            out[f"w_r.{l + 1}"] = self.w_r[l]
-            out[f"w_s.{l + 1}"] = self.w_s[l]
-        out["w_aff"] = self.w_aff
-        return out
+        """Named entries in checkpoint order."""
+        values = [t for layer in zip(self.w_r, self.w_s) for t in layer] + [self.w_aff]
+        return dict(zip(self.names(self.n_layers), values))
 
     @classmethod
     def from_tensors(cls, tensors, n_layers: int, seed: int | None = None) -> "ParameterSet":
         """The set whose ``tensors()`` are the named entries of ``tensors``."""
-        return cls(tuple(tensors[f"w_r.{l + 1}"] for l in range(n_layers)),
-                   tuple(tensors[f"w_s.{l + 1}"] for l in range(n_layers)),
-                   tensors["w_aff"], seed=seed)
+        values = [tensors[name] for name in cls.names(n_layers)]
+        return cls(tuple(values[0:-1:2]), tuple(values[1:-1:2]), values[-1], seed=seed)
 
     def flatten(self) -> np.ndarray:
         return np.concatenate([ad.value(t).ravel() for t in self.tensors().values()])
@@ -89,6 +91,8 @@ class ParameterSet:
         return float(np.linalg.norm(self.flatten()))
 
     def validate(self) -> None:
+        if ad.value(self.w_aff).ndim != 2:
+            raise InvalidInputError("parameter w_aff must be a square matrix")
         d = self.dim
         for name, t in self.tensors().items():
             tv = ad.value(t)
@@ -126,19 +130,34 @@ def save_parameters(params: ParameterSet, path) -> None:
         "seed": params.seed,
         "tensors": {k: ad.value(v).tolist() for k, v in params.tensors().items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+    write_text(path, json_text(obj))
 
 
 def load_parameters(path) -> ParameterSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    """Read a checkpoint whose header agrees with its tensors: ``n_layers``
+    an integer >= 0 whose ``names`` are exactly the tensors held, ``dim``
+    the width of ``w_aff``, and ``seed`` an integer or null."""
+    obj = read_json(path)
+    if not isinstance(obj, dict) or not isinstance(obj.get("tensors"), dict):
+        raise InvalidInputError("malformed checkpoint: it must be a JSON object with a "
+                                "'tensors' object")
+    header = SimpleNamespace(dim=obj.get("dim"), n_layers=obj.get("n_layers"), seed=obj.get("seed"))
+    require_ints(header, ("dim", "n_layers") if header.seed is None else ("dim", "n_layers", "seed"))
+    if header.n_layers < 0:
+        raise InvalidInputError(f"n_layers must be >= 0, got {header.n_layers}")
+    held, count = sorted(obj["tensors"]), 2 * header.n_layers + 1
+    # the count first, so that a huge n_layers spells no names
+    if len(held) != count or held != sorted(ParameterSet.names(header.n_layers)):
+        raise InvalidInputError(f"checkpoint tensors {held} are not the {count} "
+                                f"named by n_layers {header.n_layers}")
     try:
         tensors = {name: np.asarray(t, dtype=float) for name, t in obj["tensors"].items()}
-        params = ParameterSet.from_tensors(tensors, int(obj["n_layers"]), seed=obj.get("seed"))
-    except (AttributeError, KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise InvalidInputError(f"malformed checkpoint: {exc}") from exc
+    params = ParameterSet.from_tensors(tensors, header.n_layers, seed=header.seed)
     params.validate()
+    if header.dim != params.dim:
+        raise InvalidInputError(f"checkpoint dim {header.dim} is not w_aff's width {params.dim}")
     return params
 
 

@@ -14,6 +14,7 @@ far-off detections would.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,18 +81,19 @@ def gen_synthetic_pair(cfg: SynthConfig, rng: np.random.Generator | None = None)
 
 
 def inject_outliers(pair: GraphPair, k: int, outlier_sigma: float = OUTLIER_SIGMA, *,
-                    seed: int | None = None, rng: np.random.Generator | None = None) -> GraphPair:
+                    rng: np.random.Generator) -> GraphPair:
     """Append k unmatched nodes to each graph and recompute the topology.
 
     Outlier coordinates are N(0, sigma^2) in raw coordinate units, features
-    standard normal; inlier ground truth is untouched (new rows get -1).
+    standard normal, all drawn from ``rng``; inlier ground truth is
+    untouched (new rows get -1).
     """
     if k < 0:
         raise InvalidInputError("outlier count must be >= 0")
+    if not 0 <= outlier_sigma < math.inf:
+        raise InvalidInputError(f"outlier_sigma must be a finite number >= 0, got {outlier_sigma!r}")
     if k == 0:
         return pair
-    if rng is None:
-        rng = np.random.default_rng(seed)
     d = pair.a.keypoints.features.shape[1]
 
     def extend(kp: KeypointSet) -> KeypointSet:

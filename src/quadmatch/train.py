@@ -9,13 +9,13 @@ inside the forward map so the unrolled function stays smooth.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidInputError, NumericalFailureError, require_ints, require_reals
+from .files import csv_text
 from .graphs import GraphPair
 from .losses import (LossConfig, accuracy, cross_entropy_loss, false_matching_loss,
                      permutation_to_matrix)
@@ -75,15 +75,9 @@ class TrainHistory:
     entries: list[EpochStats] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("epoch,mean_loss,train_acc,param_norm\n")
-        for e in self.entries:
-            buf.write(f"{e.epoch},{e.mean_loss!r},{e.train_accuracy!r},{e.param_norm!r}\n")
-        return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
+        return csv_text("epoch,mean_loss,train_acc,param_norm",
+                        ((e.epoch, e.mean_loss, e.train_accuracy, e.param_norm)
+                         for e in self.entries))
 
 
 @dataclass
@@ -98,6 +92,17 @@ class ForwardResult:
     instance: QapInstance       # the solved instance (weighted adjacencies + affinity)
 
 
+def check_width(pair: GraphPair, params: ParameterSet) -> None:
+    """Raise ``InvalidInputError`` naming both widths unless both graphs'
+    attributes are as wide as the checkpoint takes."""
+    for name, g in (("graph_a", pair.a), ("graph_b", pair.b)):
+        width = g.attributes.shape[1]
+        if width != params.dim:
+            raise InvalidInputError(
+                f"{name} attributes are {width} wide ({width - 2} feature columns plus 2 "
+                f"coordinates), but the checkpoint takes attributes {params.dim} wide")
+
+
 def forward(pair: GraphPair, params: ParameterSet, *,
             m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER, tau: float = 1.0,
             use_binary_adjacency: bool = False) -> ForwardResult:
@@ -110,12 +115,7 @@ def forward(pair: GraphPair, params: ParameterSet, *,
     """
     if pair.a.n != pair.b.n:
         raise InvalidInputError("forward requires graphs of equal size")
-    for name, g in (("graph_a", pair.a), ("graph_b", pair.b)):
-        width = g.attributes.shape[1]
-        if width != params.dim:
-            raise InvalidInputError(
-                f"{name} attributes are {width} wide ({width - 2} feature columns plus 2 "
-                f"coordinates), but the checkpoint takes attributes {params.dim} wide")
+    check_width(pair, params)
     p_a, p_b, a_d, b_d = refine_pipeline(
         pair.a.attributes, pair.b.attributes, pair.a.adjacency, pair.b.adjacency, params)
     aff = node_affinity(p_a, p_b, params.w_aff)

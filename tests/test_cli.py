@@ -202,6 +202,11 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path, config_file):
     ("synth", {"synth": {"feature_noise": True}}, "feature_noise must be a real number"),
     ("synth", {"synth": {"coord_jitter": "0.01"}}, "coord_jitter must be a real number"),
     ("synth", {"synth": {"rotate_b": 2}}, "rotate_b must be a bool"),
+    ("train", {"train": {"learning_rate": float("inf")}}, "learning_rate must be a real number"),
+    ("train", {"train": {"tau": float("inf")}}, "tau must be a real number"),
+    ("train", {"train": {"grad_cap": float("inf")}}, "grad_cap must be a real number"),
+    ("train", {"train": {"beta": -float("inf")}}, "beta must be a real number"),
+    ("synth", {"synth": {"coord_jitter": float("inf")}}, "coord_jitter must be a real number"),
 ])
 def test_bad_config_exit_code(tmp_path, capsys, command, config, fragment):
     cfg = tmp_path / "bad_config.json"
@@ -306,6 +311,97 @@ def test_feature_width_mismatch_names_both_widths(tmp_path, capsys, n_layers):
     assert capsys.readouterr().err == (
         "error: graph_a attributes are 6 wide (4 feature columns plus 2 coordinates), "
         "but the checkpoint takes attributes 4 wide\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "bench-robust"])
+def test_checkpoint_width_mismatch_exit_code(tmp_path, capsys, config_file, command):
+    # the config's features are 4 wide, so attributes are 6 wide; the
+    # checkpoint takes 7: no pair may run and count as failed
+    ckpt = str(tmp_path / "ckpt.json")
+    save_parameters(init_parameters(7, n_layers=1, seed=0), ckpt)
+    out = tmp_path / "out.csv"
+    if command == "eval":
+        data = str(tmp_path / "data.json")
+        main(["synth", "--config", config_file, "--out", data, "--n-pairs", "2"])
+        argv = ["eval", "--data", data]
+    else:
+        argv = ["bench-robust", "--config", config_file, "--kmax", "1", "--n-pairs", "2"]
+    capsys.readouterr()
+    assert main(argv + ["--checkpoint", ckpt, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: pair 0: graph_a attributes are 6 wide (4 feature columns plus 2 coordinates), "
+        "but the checkpoint takes attributes 7 wide\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_bench_robust_bad_sigma(tmp_path, capsys, config_file, sigma):
+    ckpt = str(tmp_path / "ckpt.json")
+    save_parameters(init_parameters(6, n_layers=1, seed=0), ckpt)
+    out = tmp_path / "sweep.csv"
+    assert main(["bench-robust", "--config", config_file, "--checkpoint", ckpt, "--out", str(out),
+                 "--kmax", "1", "--n-pairs", "2", "--sigma", sigma]) == 1
+    assert capsys.readouterr().err == (
+        f"error: outlier_sigma must be a finite number >= 0, got {float(sigma)!r}\n")
+    assert not out.exists()
+
+
+def _relabel_layers(n_layers):
+    return lambda obj: obj.update(n_layers=n_layers)
+
+
+def _drop_tensor(name):
+    return lambda obj: obj["tensors"].pop(name)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_relabel_layers(2.7), "n_layers must be an integer, got 2.7"),
+    (_relabel_layers("2"), "n_layers must be an integer, got '2'"),
+    (_relabel_layers(True), "n_layers must be an integer, got True"),
+    (_relabel_layers(None), "n_layers must be an integer, got None"),
+    (_relabel_layers(-1), "n_layers must be >= 0, got -1"),
+    (_relabel_layers(1), "checkpoint tensors ['w_aff', 'w_r.1', 'w_r.2', 'w_s.1', 'w_s.2'] "
+                         "are not the 3 named by n_layers 1"),
+    (_relabel_layers(3), "checkpoint tensors ['w_aff', 'w_r.1', 'w_r.2', 'w_s.1', 'w_s.2'] "
+                         "are not the 7 named by n_layers 3"),
+    (_relabel_layers(10**12), "are not the 2000000000001 named by n_layers 1000000000000"),
+    (_drop_tensor("w_s.2"), "checkpoint tensors ['w_aff', 'w_r.1', 'w_r.2', 'w_s.1'] "
+                            "are not the 5 named by n_layers 2"),
+    (lambda obj: obj["tensors"].update({"w_s.3": obj["tensors"].pop("w_s.2")}),
+     "checkpoint tensors ['w_aff', 'w_r.1', 'w_r.2', 'w_s.1', 'w_s.3'] "
+     "are not the 5 named by n_layers 2"),
+    (lambda obj: obj["tensors"].update(extra=[[1.0]]), "are not the 5 named by n_layers 2"),
+    (lambda obj: obj.update(dim=99), "checkpoint dim 99 is not w_aff's width 6"),
+    (lambda obj: obj.update(dim=6.0), "dim must be an integer, got 6.0"),
+    (lambda obj: obj.update(seed="abc"), "seed must be an integer, got 'abc'"),
+    (lambda obj: obj.update(seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda obj: obj.update(tensors=[]), "must be a JSON object with a 'tensors' object"),
+    (lambda obj: obj["tensors"].update(w_aff=5.0), "parameter w_aff must be a square matrix"),
+    (lambda obj: obj["tensors"].update(w_aff={"a": 1}), "malformed checkpoint"),
+], ids=["fractional_layers", "string_layers", "bool_layers", "null_layers", "negative_layers",
+        "too_few_layers", "too_many_layers", "huge_layers", "missing_tensor", "misnamed_tensor",
+        "extra_tensor", "wrong_dim", "float_dim", "string_seed", "fractional_seed",
+        "tensors_not_object", "scalar_w_aff", "object_w_aff"])
+def test_bad_checkpoint_exit_code(tmp_path, capsys, edit, message):
+    pair_file = tmp_path / "pair.json"
+    save_pair(gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3)), str(pair_file))
+    ckpt = tmp_path / "ckpt.json"
+    save_parameters(init_parameters(6, n_layers=2, seed=0), str(ckpt))
+    obj = json.loads(ckpt.read_text())
+    edit(obj)
+    ckpt.write_text(json.dumps(obj))
+    assert main(["match", "--pair", str(pair_file), "--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_checkpoint_null_seed_loads(tmp_path):
+    ckpt = tmp_path / "ckpt.json"
+    save_parameters(init_parameters(6, n_layers=2, seed=0), str(ckpt))
+    obj = json.loads(ckpt.read_text())
+    obj["seed"] = None
+    ckpt.write_text(json.dumps(obj))
+    assert load_parameters(str(ckpt)).seed is None
 
 
 # Degenerate pair files for the match fuzz below: valid but awkward

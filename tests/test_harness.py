@@ -79,11 +79,11 @@ class TestGenSyntheticPair:
 class TestInjectOutliers:
     def test_zero_is_identity(self):
         pair = gen_synthetic_pair(small_cfg())
-        assert inject_outliers(pair, 0) is pair
+        assert inject_outliers(pair, 0, rng=np.random.default_rng(0)) is pair
 
     def test_bookkeeping(self):
         pair = gen_synthetic_pair(small_cfg())
-        noisy = inject_outliers(pair, 2, seed=3)
+        noisy = inject_outliers(pair, 2, rng=np.random.default_rng(3))
         assert noisy.a.n == pair.a.n + 2
         assert noisy.b.n == pair.b.n + 2
         assert (noisy.gt == -1).sum() == 2
@@ -91,21 +91,32 @@ class TestInjectOutliers:
 
     def test_inlier_truth_and_data_preserved(self):
         pair = gen_synthetic_pair(small_cfg())
-        noisy = inject_outliers(pair, 3, seed=4)
+        noisy = inject_outliers(pair, 3, rng=np.random.default_rng(4))
         np.testing.assert_array_equal(noisy.a.keypoints.coords[:6], pair.a.keypoints.coords)
         np.testing.assert_array_equal(noisy.b.keypoints.features[:6], pair.b.keypoints.features)
 
     def test_deterministic_given_seed(self):
         pair = gen_synthetic_pair(small_cfg())
-        a = inject_outliers(pair, 2, seed=11)
-        b = inject_outliers(pair, 2, seed=11)
+        a = inject_outliers(pair, 2, rng=np.random.default_rng(11))
+        b = inject_outliers(pair, 2, rng=np.random.default_rng(11))
         np.testing.assert_array_equal(a.a.keypoints.coords, b.a.keypoints.coords)
 
     def test_sigma_scale(self):
         pair = gen_synthetic_pair(small_cfg())
-        noisy = inject_outliers(pair, 50, outlier_sigma=10.0, seed=0)
+        noisy = inject_outliers(pair, 50, outlier_sigma=10.0, rng=np.random.default_rng(0))
         spread = np.abs(noisy.a.keypoints.coords[6:]).max()
         assert spread > 5.0  # far outside the unit frame
+
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_bad_sigma_rejected(self, sigma, k):
+        pair = gen_synthetic_pair(small_cfg())
+        with pytest.raises(InvalidInputError, match="outlier_sigma must be a finite number >= 0"):
+            inject_outliers(pair, k, sigma, rng=np.random.default_rng(0))
+
+    def test_rng_is_required(self):
+        with pytest.raises(TypeError):
+            inject_outliers(gen_synthetic_pair(small_cfg()), 2)
 
 
 class TestDatasets:
@@ -211,6 +222,13 @@ class TestBenchmark:
         pairs = gen_dataset(small_cfg(), 3)
         with pytest.raises(InvalidInputError):
             evaluate_pairs(pairs, small_params, "ful")
+
+    def test_width_mismatch_raises_not_fail_pairs(self, small_params, monkeypatch):
+        # pair 2 has attributes 7 wide; the checkpoint takes 8
+        pairs = gen_dataset(small_cfg(), 2) + gen_dataset(small_cfg(d=5), 1)
+        monkeypatch.setattr(bench, "match_pair", lambda *args: pytest.fail("a pair ran"))
+        with pytest.raises(InvalidInputError, match="^pair 2: graph_a attributes are 7 wide"):
+            evaluate_pairs(pairs, small_params, "full")
 
     def test_inference_matches_stepwise_oracles(self, monkeypatch):
         # infer-ambiguous pairs (n=10) and one infer-outliers pair (n=24)
