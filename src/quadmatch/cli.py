@@ -13,13 +13,16 @@ Inference (match, eval, bench-robust) runs at fixed solver settings: a
 smooth Frank-Wolfe warm start at m1=3, m2=5, tau=1.0, then at most 10
 discrete rounds of at most 50 Hungarian steps each; the run stops once a
 round's rounding repeats any earlier round's. Exit codes: 0 success, 1
-invalid input or usage, 2 numerical failure.
+invalid input or usage, 2 numerical failure. Every output path is checked
+before any input is read, so a run that exits 1 writes no file; a training
+run that exits 2 still writes the history of the epochs it finished.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .bench import match_pair, outlier_sweep, run_benchmark, sweep_to_csv
 from .errors import InvalidInputError, NumericalFailureError
@@ -31,6 +34,21 @@ from .synth import OUTLIER_SIGMA, SynthConfig, gen_dataset
 from .train import TrainConfig, train
 
 CONFIG_SECTIONS = ("synth", "train")
+OUTPUT_FLAGS = ("out", "history", "trace", "json")
+
+
+def _check_outputs(args) -> None:
+    """Reject every output path that cannot be written before any input is
+    read, so that a run that exits 1 leaves no file behind."""
+    for flag in OUTPUT_FLAGS:
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise InvalidInputError(f"--{flag} {path!r} is a directory")
+        parent = str(Path(path).parent)
+        if not Path(parent).is_dir():
+            raise InvalidInputError(f"--{flag} {path!r}: directory {parent!r} does not exist")
 
 
 def _load_config(path) -> dict:
@@ -191,6 +209,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
         return 0 if exc.code == 0 else 1
     try:
+        _check_outputs(args)
         args.func(args)
     except NumericalFailureError as exc:
         print(f"numerical failure ({exc.stage}): {exc}", file=sys.stderr)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from . import autodiff as ad
 from .errors import InvalidInputError
@@ -50,9 +48,10 @@ def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
     On the training tape the whole normalization is one node and every
     round runs (``iterations`` is ``max_iter``): the forward pass writes each
     normalized log iterate into one ``(2 * max_iter, n, n)`` block, held only
-    while the tape lives, and the backward pass replays them in reverse
-    through the same buffers. Its gradient is bit for bit the one a tape
-    holding one node per operation of the loop gives.
+    while the tape lives, and exponentiates the whole block in place with one
+    call once the loop ends; the backward pass replays the exponentiated
+    iterates in reverse through the same buffers. Its gradient is bit for bit
+    the one a tape holding one node per operation of the loop gives.
     """
     lv = ad.value(log_m)
     if lv.ndim != 2 or lv.shape[0] != lv.shape[1] or lv.shape[0] < 1:
@@ -96,6 +95,7 @@ def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
     if not on_tape:
         return SinkhornResult(np.exp(x, x), max_iter)
     out = np.exp(x)
+    np.exp(iterates, iterates)
 
     def bw(g):
         # reverse of x <- x - lse(x): g <- g - softmax * sum(g); the even
@@ -104,8 +104,7 @@ def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
         for k in range(2 * max_iter - 1, 0, -1):
             axis, tot_v = (0, tot_cols) if k % 2 else (1, tot_rows)
             np.add.reduce(g, axis, None, tot)
-            np.exp(iterates[k], buf)
-            np.multiply(buf, tot_v, buf)
+            np.multiply(iterates[k], tot_v, buf)
             np.subtract(g, buf, g)
         # the first half-step reads log_m directly: add its two terms one at
         # a time, as a tape of one node per operation does, so that log_m's
@@ -113,7 +112,7 @@ def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
         # the same
         log_m.grad += g
         if max_iter:
-            log_m.grad -= np.exp(iterates[0]) * g.sum(axis=1, keepdims=True)
+            log_m.grad -= iterates[0] * g.sum(axis=1, keepdims=True)
 
     return SinkhornResult(ad.Var(out, (log_m,), bw), max_iter)
 
@@ -132,7 +131,8 @@ def hungarian(score) -> np.ndarray:
     first, then row 1's, ...): the shortest-path potentials mark the tight edges,
     which carry every optimal permutation, and rows are fixed in order to the
     smallest tight column that still admits a perfect matching on the tight
-    edges left. Not differentiable: rejects tape variables.
+    edges left, which one more assignment solve, counting loose edges, tests.
+    Not differentiable: rejects tape variables.
     """
     if isinstance(score, ad.Var):
         raise InvalidInputError("hungarian is not differentiable; pass a plain array")
@@ -177,9 +177,11 @@ def hungarian(score) -> np.ndarray:
                     break
                 rest = np.flatnonzero(free)
                 rest = rest[rest != j]
-                match = maximum_bipartite_matching(
-                    csr_matrix(tight[i + 1:][:, rest]), perm_type="column")
-                if np.all(match >= 0):
+                # a perfect matching on tight edges exists exactly when the
+                # assignment minimizing the count of loose edges uses none
+                loose = ~tight[i + 1:][:, rest]
+                left, match = linear_sum_assignment(loose)
+                if not loose[left, match].any():
                     cols[i], cols[i + 1:] = j, rest[match]
                     break
             free[cols[i]] = False

@@ -150,10 +150,13 @@ def load_parameters(path) -> ParameterSet:
     if len(held) != count or held != sorted(ParameterSet.names(header.n_layers)):
         raise InvalidInputError(f"checkpoint tensors {held} are not the {count} "
                                 f"named by n_layers {header.n_layers}")
-    try:
-        tensors = {name: np.asarray(t, dtype=float) for name, t in obj["tensors"].items()}
-    except TypeError as exc:
-        raise InvalidInputError(f"malformed checkpoint: {exc}") from exc
+    tensors = {}
+    for name, t in obj["tensors"].items():
+        try:
+            tensors[name] = np.asarray(t, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"malformed checkpoint: tensor {name!r} is not a "
+                                    f"rectangular array of numbers ({exc})") from exc
     params = ParameterSet.from_tensors(tensors, header.n_layers, seed=header.seed)
     params.validate()
     if header.dim != params.dim:

@@ -346,6 +346,43 @@ def test_bench_robust_bad_sigma(tmp_path, capsys, config_file, sigma):
     assert not out.exists()
 
 
+@pytest.fixture
+def run_inputs(tmp_path, config_file):
+    """Inputs for every subcommand in one run directory; no training runs."""
+    pairs = [gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=s)) for s in (3, 4)]
+    save_dataset(pairs, str(tmp_path / "data.json"))
+    save_pair(pairs[0], str(tmp_path / "pair.json"))
+    save_parameters(init_parameters(6, n_layers=1, seed=0), str(tmp_path / "ckpt.json"))
+    (tmp_path / "taken").mkdir()
+    return {"config": config_file, "data": str(tmp_path / "data.json"),
+            "pair": str(tmp_path / "pair.json"), "checkpoint": str(tmp_path / "ckpt.json")}
+
+
+def _argv(command, inputs, outputs):
+    flags = {"synth": ("config",), "train": ("data", "config"), "match": ("pair", "checkpoint"),
+             "eval": ("data", "checkpoint"), "bench-robust": ("config", "checkpoint")}[command]
+    argv = [command] + [arg for flag in flags for arg in (f"--{flag}", inputs[flag])]
+    argv += [arg for flag, path in outputs.items() for arg in (f"--{flag}", path)]
+    return argv + (["--n-pairs", "2"] if command in ("synth", "bench-robust") else [])
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("synth", ("out",)), ("train", ("out", "history")), ("match", ("out", "trace")),
+    ("eval", ("out", "json")), ("bench-robust", ("out",))],
+    ids=["synth", "train", "match", "eval", "bench-robust"])
+@pytest.mark.parametrize("where", ["missing_dir", "is_dir"])
+def test_bad_output_path_writes_nothing(tmp_path, capsys, run_inputs, command, flags, where):
+    bad = str(tmp_path / "missing" / "x.out") if where == "missing_dir" else str(tmp_path / "taken")
+    for bad_flag in flags:
+        outputs = {flag: bad if flag == bad_flag else str(tmp_path / f"{flag}.out")
+                   for flag in flags}
+        before = sorted(tmp_path.rglob("*"))
+        assert main(_argv(command, run_inputs, outputs)) == 1, bad_flag
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --{bad_flag} {bad!r}") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 def _relabel_layers(n_layers):
     return lambda obj: obj.update(n_layers=n_layers)
 
@@ -378,10 +415,12 @@ def _drop_tensor(name):
     (lambda obj: obj.update(tensors=[]), "must be a JSON object with a 'tensors' object"),
     (lambda obj: obj["tensors"].update(w_aff=5.0), "parameter w_aff must be a square matrix"),
     (lambda obj: obj["tensors"].update(w_aff={"a": 1}), "malformed checkpoint"),
+    (lambda obj: obj["tensors"].update(w_aff=[[1.0, 2.0], [3.0]]),
+     "malformed checkpoint: tensor 'w_aff' is not a rectangular array of numbers"),
 ], ids=["fractional_layers", "string_layers", "bool_layers", "null_layers", "negative_layers",
         "too_few_layers", "too_many_layers", "huge_layers", "missing_tensor", "misnamed_tensor",
         "extra_tensor", "wrong_dim", "float_dim", "string_seed", "fractional_seed",
-        "tensors_not_object", "scalar_w_aff", "object_w_aff"])
+        "tensors_not_object", "scalar_w_aff", "object_w_aff", "ragged_w_aff"])
 def test_bad_checkpoint_exit_code(tmp_path, capsys, edit, message):
     pair_file = tmp_path / "pair.json"
     save_pair(gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3)), str(pair_file))

@@ -7,6 +7,10 @@ the same objective, and the parameter gradient must not move. On outlier
 pairs the Hungarian directions meet tolerance ties, which the lexicographic
 rule breaks by node index, so there only a floor on the count of
 equivariant answers is pinned.
+
+Scaling a graph's coordinates (per axis, by positive factors) and shifting
+them leaves the answer as it was, since every graph is built from its
+normalized coordinates.
 """
 
 import numpy as np
@@ -97,3 +101,38 @@ def test_outlier_pairs_equivariance_floor():
                     and abs(again.objective - res.objective) <= 1e-12 * abs(res.objective))
     assert hits["full"] >= 13
     assert hits["no_qc"] == 20
+
+
+def transform_coords(pair, scale, shift, graphs):
+    """The pair with coordinates ``coords * scale + shift`` in the named graphs."""
+    def moved(kp, name):
+        coords = kp.coords * np.asarray(scale) + np.asarray(shift) if name in graphs else kp.coords
+        return KeypointSet(coords, kp.features)
+    return make_pair(moved(pair.a.keypoints, "a"), moved(pair.b.keypoints, "b"), pair.gt)
+
+
+@pytest.fixture(scope="module")
+def base_answers(pairs, params):
+    return [{variant: match_pair(pair, params, variant) for variant in ("full", "no_qc")}
+            for pair in pairs]
+
+
+@pytest.mark.parametrize("scale,shift", [
+    (2.5, (3.0, -7.0)), (1e-3, (0.0, 0.0)), (1e4, (-1e4, 5e3)), ((2.5, 0.4), (3.0, -7.0))],
+    ids=["scale_2.5", "scale_1e-3", "scale_1e4", "per_axis"])
+@pytest.mark.parametrize("graphs", ["a", "b", "ab"])
+def test_match_ignores_scaling_and_shift(pairs, params, base_answers, scale, shift, graphs):
+    """Scaling by positive factors and shifting leaves each graph's normalized
+    coordinates as they were, up to rounding, and with them its Delaunay
+    edges and attributes. Rotation is not a symmetry: ``normalize_coordinates``
+    maps the axis-aligned bounding box onto the unit square, which a
+    rotation changes, and ``rotate_b`` relies on that so that the rotated
+    graph's coordinate attributes cannot separate the members of a group."""
+    for k, (pair, base) in enumerate(zip(pairs, base_answers)):
+        moved = transform_coords(pair, scale, shift, graphs)
+        for variant, res in base.items():
+            again = match_pair(moved, params, variant)
+            np.testing.assert_array_equal(again.permutation, res.permutation,
+                                          err_msg=f"pair {k}, {variant}")
+            np.testing.assert_allclose(again.objective, res.objective, rtol=1e-12,
+                                       err_msg=f"pair {k}, {variant}")

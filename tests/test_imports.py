@@ -1,5 +1,6 @@
-"""Import hygiene: every name a module imports is used in that module, and
-only ``files.py`` opens files or spells a file format."""
+"""Import hygiene: every name a module imports is used in that module, only
+``files.py`` opens files or spells a file format, and the package uses three
+scipy names."""
 
 import ast
 import re
@@ -13,6 +14,8 @@ PACKAGE = sorted((ROOT / "src" / "quadmatch").glob("*.py"))
 FILES = sorted([p for p in PACKAGE if p.name != "__init__.py"]
                + list((ROOT / "tests").glob("*.py")) + list((ROOT / "scripts").glob("*.py")))
 FORMAT_CALLS = re.compile(r"\bopen\(|\bjson\.(dump|load)|\bio\.StringIO")
+SCIPY_NAMES = {"scipy.optimize.linear_sum_assignment", "scipy.spatial.Delaunay",
+               "scipy.spatial.QhullError"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -62,3 +65,29 @@ def test_format_scan_flags_each_call():
               "buf = io.StringIO()\nexcept json.JSONDecodeError:\nreopen(p)\n")
     assert format_calls(source) == ["with open(p) as fh:", "json.dump(x, fh)",
                                     "y = json.loads(s)", "buf = io.StringIO()"]
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Every scipy module or name an import statement in ``source`` names,
+    dotted in full: ``from scipy.x import y`` gives ``scipy.x.y``."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            names += [f"{node.module}.{a.name}" for a in node.names]
+    return names
+
+
+def test_package_scipy_surface():
+    used = {name for path in PACKAGE for name in scipy_imports(path.read_text(encoding="utf-8"))}
+    assert used == SCIPY_NAMES
+
+
+def test_scipy_scan_names_each_import():
+    source = ("import scipy\nimport scipy.sparse as sp\nimport numpy\n"
+              "from scipy.sparse.csgraph import maximum_bipartite_matching, floyd_warshall\n"
+              "from scipyx import y\nfrom . import scipy\n")
+    assert scipy_imports(source) == ["scipy", "scipy.sparse",
+                                     "scipy.sparse.csgraph.maximum_bipartite_matching",
+                                     "scipy.sparse.csgraph.floyd_warshall"]
