@@ -35,14 +35,6 @@ class Var:
         self._parents = parents
         self._backward = backward
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into ``grad`` over the whole graph."""
         if self.data.ndim != 0 and self.data.size != 1:
@@ -73,9 +65,6 @@ class Var:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
     def __matmul__(self, other):
         return matmul(self, other)

@@ -15,18 +15,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import InvalidInputError, NumericalFailureError
 from .files import csv_text, json_text
 from .graphs import Graph, GraphPair, assemble_attributes
 from .losses import accuracy, f1_score, matrix_to_permutation, permutation_to_matrix
 from .projections import hungarian
-from .qap import FW_TRAIN_OUTER, SolveTrace, frank_wolfe_infer, objective
+from .qap import QapInstance, SolveTrace, frank_wolfe_infer, frank_wolfe_train, objective
 from .refine import ParameterSet
 from .synth import OUTLIER_SIGMA, inject_outliers
 from .train import check_width, forward
 
-VARIANTS = ("full", "no_qc", "no_pairwise", "no_prior")
+ABLATIONS = ("qc", "pairwise", "prior")
+VARIANTS = ("full",) + tuple(f"no_{a}" for a in ABLATIONS)
 
 
 @dataclass
@@ -91,21 +91,24 @@ def _check_variant(variant: str) -> None:
 def match_pair(pair: GraphPair, params: ParameterSet, variant: str = "full") -> MatchResult:
     """Run one inference variant on one pair and score it against the truth.
 
-    Inference runs at fixed solver settings: the smooth Frank-Wolfe warm
-    start of ``forward`` (skipped by ``no_qc``), then ``frank_wolfe_infer``.
+    Every variant starts from ``forward`` and differs from ``full`` in one
+    place: ``no_prior`` zeroes the coordinate columns of the inputs,
+    ``no_pairwise`` scores the plain 0/1 adjacencies in place of the refined
+    weighted ones, and ``no_qc`` rounds the Sinkhorn start with Hungarian and
+    solves nothing. The others run at the pinned inference settings:
+    ``frank_wolfe_train`` at its defaults (m1=3 rounds of m2=5 smooth steps
+    at tau=1.0) as a warm start, then ``frank_wolfe_infer``.
     """
     _check_variant(variant)
     if variant == "no_prior":
         pair = _strip_prior(pair)
-    res = forward(pair, params, m1=0 if variant == "no_qc" else FW_TRAIN_OUTER,
-                  use_binary_adjacency=(variant == "no_pairwise"))
-    x = ad.value(res.assignment)
-    inst = res.instance
+    start, inst = forward(pair, params)
+    if variant == "no_pairwise":
+        inst = QapInstance(pair.a.adjacency, pair.b.adjacency, inst.x_u)
     if variant == "no_qc":
-        matrix = hungarian(x)
-        trace = SolveTrace()
+        matrix, trace = hungarian(start), SolveTrace()
     else:
-        matrix, trace = frank_wolfe_infer(x, inst)
+        matrix, trace = frank_wolfe_infer(frank_wolfe_train(start, inst), inst)
     x_star = permutation_to_matrix(pair.gt, pair.b.n)
     return MatchResult(
         permutation=matrix_to_permutation(matrix),

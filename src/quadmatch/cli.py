@@ -24,7 +24,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import match_pair, outlier_sweep, run_benchmark, sweep_to_csv
+from .bench import ABLATIONS, match_pair, outlier_sweep, run_benchmark, sweep_to_csv
 from .errors import InvalidInputError, NumericalFailureError
 from .files import json_text, read_json, write_text
 from .graphs import load_dataset, load_pair, save_dataset
@@ -115,7 +115,7 @@ def _cmd_train(args) -> None:
 def _cmd_match(args) -> None:
     pair = load_pair(args.pair)
     params = load_parameters(args.checkpoint)
-    variant = {"qc": "no_qc", "pairwise": "no_pairwise", "prior": "no_prior", None: "full"}[args.ablate]
+    variant = f"no_{args.ablate}" if args.ablate else "full"
     _load_config(args.config)
     result = match_pair(pair, params, variant)
     print(f"permutation: {result.permutation.tolist()}")
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config (checked; no section applies here)")
     p.add_argument("--out", help="result JSON path")
     p.add_argument("--trace", help="solver trace CSV path")
-    p.add_argument("--ablate", choices=["qc", "pairwise", "prior"], default=None)
+    p.add_argument("--ablate", choices=ABLATIONS, default=None)
     p.set_defaults(func=_cmd_match)
 
     p = sub.add_parser("eval", help="evaluate all pipeline variants on a dataset")

@@ -164,8 +164,6 @@ def assemble_attributes(features, coords_norm) -> np.ndarray:
     """Node attribute rows: feature vector with (x, y) in [0,1] appended."""
     f = np.asarray(features, dtype=float)
     c = np.asarray(coords_norm, dtype=float)
-    if f.ndim == 1 and f.shape[0] == c.shape[0]:
-        f = f.reshape(-1, 1)
     if f.ndim != 2 or f.shape[0] != c.shape[0]:
         raise InvalidInputError("features and coordinates disagree on node count")
     return np.hstack([f, c])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 from .files import csv_text
 from .projections import hungarian, sinkhorn
 
@@ -129,7 +129,11 @@ def frank_wolfe_train(x0, inst: QapInstance, m1: int = FW_TRAIN_OUTER, m2: int =
     reachable through the instance. Returns only the final iterate (``x0``
     itself when ``m1`` is 0); no per-step objective is evaluated, since
     neither the gradient nor the inference warm start reads one. A ``tau``
-    that is not positive raises ``InvalidInputError`` at the first step.
+    that is not positive raises ``InvalidInputError`` at the first step. An
+    iterate with an entry that is not positive (a small ``tau`` makes the
+    first step, of size 1, land on a direction whose entries underflowed to
+    0) has no log to re-project and raises ``NumericalFailureError`` at
+    stage ``"forward"``.
     """
     if m1 < 0 or m2 < 0:
         raise InvalidInputError("iteration counts must be non-negative")
@@ -139,6 +143,9 @@ def frank_wolfe_train(x0, inst: QapInstance, m1: int = FW_TRAIN_OUTER, m2: int =
             eps = fw_step_size(inner)
             s = fw_direction(x, inst, tau=tau)
             x = x - eps * (x - s)
+        if not (ad.value(x) > 0).all():
+            raise NumericalFailureError("smooth Frank-Wolfe iterate underflowed to 0",
+                                        stage="forward")
         x = sinkhorn(ad.log(x)).matrix
     return x
 

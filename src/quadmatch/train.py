@@ -1,10 +1,11 @@
-"""End-to-end training: unrolled forward pass, gradients, SGD loop.
+"""The shared front end, and training through it: gradients and the SGD loop.
 
-The forward map composes attribute refinement, node affinity, Sinkhorn
-initialization, and the smooth Frank-Wolfe solver; every primitive on that
-path is differentiable, so reverse mode through the tape gives exact
-gradients of the unrolled computation. Sinkhorn runs a fixed iteration count
-inside the forward map so the unrolled function stays smooth.
+``forward`` is the front end that training and inference share: attribute
+refinement, node affinity, and the Sinkhorn start. The training map is
+``forward``, then the smooth Frank-Wolfe solve ``frank_wolfe_train``, then
+the loss; every primitive on that path is differentiable, so reverse mode
+through the tape gives exact gradients of the unrolled computation. Sinkhorn
+runs a fixed iteration count so the unrolled function stays smooth.
 """
 
 from __future__ import annotations
@@ -80,18 +81,6 @@ class TrainHistory:
                          for e in self.entries))
 
 
-@dataclass
-class ForwardResult:
-    """The smooth-FW iterate and the instance it was solved on.
-
-    Training reads only the assignment; inference traces its own discrete
-    solve (``frank_wolfe_infer``).
-    """
-
-    assignment: object          # soft matching, ndarray or tape Var
-    instance: QapInstance       # the solved instance (weighted adjacencies + affinity)
-
-
 def check_width(pair: GraphPair, params: ParameterSet) -> None:
     """Raise ``InvalidInputError`` naming both widths unless both graphs'
     attributes are as wide as the checkpoint takes."""
@@ -103,15 +92,14 @@ def check_width(pair: GraphPair, params: ParameterSet) -> None:
                 f"coordinates), but the checkpoint takes attributes {params.dim} wide")
 
 
-def forward(pair: GraphPair, params: ParameterSet, *,
-            m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER, tau: float = 1.0,
-            use_binary_adjacency: bool = False) -> ForwardResult:
-    """Refine attributes, build the affinity, project, and run smooth FW.
+def forward(pair: GraphPair, params: ParameterSet) -> tuple[object, QapInstance]:
+    """Refine attributes, build the affinity, and project it.
 
-    With ``m1`` 0 the solver is bypassed and the Sinkhorn-projected affinity
-    is returned directly. ``use_binary_adjacency`` swaps the weighted
-    adjacencies for the plain 0/1 topology in the solved objective (the
-    pairwise-context ablation); refinement itself is unaffected.
+    Returns ``(start, instance)``: the Sinkhorn-projected affinity, a soft
+    matching (ndarray, or tape ``Var`` under lifted parameters), and the
+    instance over the refined weighted adjacencies and the affinity.
+    Training hands both to ``frank_wolfe_train``; ``bench.match_pair`` builds
+    every inference variant on them.
     """
     if pair.a.n != pair.b.n:
         raise InvalidInputError("forward requires graphs of equal size")
@@ -119,12 +107,7 @@ def forward(pair: GraphPair, params: ParameterSet, *,
     p_a, p_b, a_d, b_d = refine_pipeline(
         pair.a.attributes, pair.b.attributes, pair.a.adjacency, pair.b.adjacency, params)
     aff = node_affinity(p_a, p_b, params.w_aff)
-    if use_binary_adjacency:
-        inst = QapInstance(pair.a.adjacency, pair.b.adjacency, aff.matrix)
-    else:
-        inst = QapInstance(a_d, b_d, aff.matrix)
-    x0 = init_assignment(aff)
-    return ForwardResult(frank_wolfe_train(x0, inst, m1, m2, tau=tau), inst)
+    return init_assignment(aff), QapInstance(a_d, b_d, aff.matrix)
 
 
 def grad_params(pair: GraphPair, params: ParameterSet,
@@ -132,19 +115,18 @@ def grad_params(pair: GraphPair, params: ParameterSet,
     """Gradient of the matching loss with respect to every parameter.
 
     The loss, its ``loss_cfg`` and the solver's ``m1``, ``m2`` and ``tau``
-    come from ``cfg``. Reverse mode differentiates the unrolled forward
-    computation exactly. Returns (gradients in parameter shape, carrying
-    ``params.seed``; loss value; the forward assignment). Non-finite values
-    raise NumericalFailureError naming the failing stage.
+    come from ``cfg``. Reverse mode differentiates the unrolled computation,
+    ``forward`` then ``frank_wolfe_train``, exactly. Returns (gradients in
+    parameter shape, carrying ``params.seed``; loss value; the solved
+    assignment). Non-finite values raise NumericalFailureError naming the
+    failing stage.
     """
     x_star = permutation_to_matrix(pair.gt, pair.b.n)
     lifted, leaves = params.lift()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        res = forward(pair, lifted, m1=cfg.m1, m2=cfg.m2, tau=cfg.tau)
-        x_val = np.array(ad.value(res.assignment))
-        if not np.all(np.isfinite(x_val)):
-            raise NumericalFailureError("forward produced non-finite assignment", stage="forward")
-        loss_v = LOSSES[cfg.loss](res.assignment, x_star, cfg.loss_cfg)
+        x = frank_wolfe_train(*forward(pair, lifted), cfg.m1, cfg.m2, tau=cfg.tau)
+        x_val = np.array(ad.value(x))
+        loss_v = LOSSES[cfg.loss](x, x_star, cfg.loss_cfg)
         if not np.isfinite(ad.value(loss_v)):
             raise NumericalFailureError("loss is not finite", stage="loss")
         loss_v.backward()

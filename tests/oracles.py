@@ -12,7 +12,8 @@ from quadmatch.errors import InvalidInputError
 from quadmatch.losses import LossConfig, permutation_to_matrix
 from quadmatch.projections import SINKHORN_MAX_ITER, SinkhornResult
 from quadmatch.qap import (FW_INFER_MAX_INNER, FW_INFER_ROUNDS, QapInstance, SolveTrace,
-                           TraceStep, fw_step_size, objective, objective_gradient)
+                           TraceStep, frank_wolfe_train, fw_step_size, objective,
+                           objective_gradient)
 from quadmatch.train import LOSSES, TrainConfig, forward
 
 FD_STEP = 1e-5
@@ -236,7 +237,7 @@ def finite_difference_grad(pair, params, cfg: TrainConfig, *, step: float = FD_S
 
     def run(flat_vec: np.ndarray) -> np.ndarray:
         p = params.replace_flat(flat_vec)
-        return forward(pair, p, m1=cfg.m1, m2=cfg.m2, tau=cfg.tau).assignment
+        return frank_wolfe_train(*forward(pair, p), cfg.m1, cfg.m2, tau=cfg.tau)
 
     theta = params.flatten()
     x_val = run(theta)

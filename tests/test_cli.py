@@ -4,13 +4,15 @@ import contextlib
 import io
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadmatch.cli import main
+from quadmatch.bench import ABLATIONS, VARIANTS
+from quadmatch.cli import build_parser, main
 from quadmatch.errors import NumericalFailureError
 from quadmatch.graphs import load_dataset, save_dataset, save_pair
 from quadmatch.refine import init_parameters, load_parameters, save_parameters
@@ -78,6 +80,53 @@ def test_match_ablate_flag(tmp_path, config_file):
     assert json.loads(open(out_file).read())["variant"] == "no_qc"
     # no Frank-Wolfe solve ran, so the trace is the header alone
     assert open(trace_file).read() == "outer,inner,epsilon,objective\n"
+
+
+def test_ablate_choices_are_the_bench_ablations(tmp_path):
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    ablate = next(a for a in sub.choices["match"]._actions if a.dest == "ablate")
+    assert tuple(ablate.choices) == ABLATIONS
+    assert {"full"} | {f"no_{a}" for a in ABLATIONS} == set(VARIANTS)
+    pair_file, ckpt = str(tmp_path / "pair.json"), str(tmp_path / "ckpt.json")
+    save_pair(gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=1)), pair_file)
+    save_parameters(init_parameters(6, n_layers=1, seed=0), ckpt)
+    out = tmp_path / "m.json"
+    for ablation in (None, *ABLATIONS):
+        flags = ["--ablate", ablation] if ablation else []
+        assert main(["match", "--pair", pair_file, "--checkpoint", ckpt,
+                     "--out", str(out)] + flags) == 0
+        variant = json.loads(out.read_text())["variant"]
+        assert variant == (f"no_{ablation}" if ablation else "full")
+
+
+def test_eval_json_report(tmp_path, config_file):
+    data, ckpt = str(tmp_path / "data.json"), str(tmp_path / "ckpt.json")
+    main(["synth", "--config", config_file, "--out", data, "--n-pairs", "2"])
+    main(["train", "--data", data, "--config", config_file, "--out", ckpt])
+    with_json, plain = tmp_path / "with_json.csv", tmp_path / "plain.csv"
+    report = tmp_path / "report.json"
+    assert main(["eval", "--data", data, "--checkpoint", ckpt, "--out", str(with_json),
+                 "--json", str(report)]) == 0
+    assert main(["eval", "--data", data, "--checkpoint", ckpt, "--out", str(plain)]) == 0
+    rows = json.loads(report.read_text())["rows"]
+    assert [r["variant"] for r in rows] == list(VARIANTS)
+    assert all(r["wall_clock_s"] >= 0.0 for r in rows)
+    assert with_json.read_bytes() == plain.read_bytes()
+
+
+def test_train_seed_flag_matches_config_seed(tmp_path, config_file):
+    data = str(tmp_path / "data.json")
+    main(["synth", "--config", config_file, "--out", data, "--n-pairs", "2"])
+    cfg = json.loads(Path(config_file).read_text())
+    cfg["train"]["seed"] = 5
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps(cfg))
+    by_flag, by_config = tmp_path / "by_flag.json", tmp_path / "by_config.json"
+    assert main(["train", "--data", data, "--config", config_file, "--seed", "5",
+                 "--out", str(by_flag)]) == 0
+    assert main(["train", "--data", data, "--config", str(seeded), "--out", str(by_config)]) == 0
+    # the fixture's config seeds 3, so an ignored flag gives another checkpoint
+    assert by_flag.read_bytes() == by_config.read_bytes()
 
 
 def test_bench_robust(tmp_path, config_file):
@@ -170,6 +219,23 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path, config_file):
     main(["synth", "--config", config_file, "--out", data, "--n-pairs", "2"])
     assert main(["train", "--data", data, "--config", config_file,
                  "--out", str(tmp_path / "c.json")]) == 2
+
+
+def test_underflowed_training_exits_2_with_history(tmp_path, capsys):
+    # at tau=0.001 the first smooth-FW step lands on a direction whose entries
+    # underflowed to 0; the failure is numerical, not a bad input
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"n_inliers": 6, "d": 4, "classes": 2, "seed": 3},
+                                  "train": {"epochs": 3, "tau": 0.001}}))
+    data, ckpt, hist = (str(tmp_path / name) for name in ("data.json", "c.json", "h.csv"))
+    assert main(["synth", "--config", str(config), "--out", data, "--n-pairs", "2"]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", data, "--config", str(config), "--out", ckpt,
+                 "--history", hist]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure (forward): ")
+    # the first step failed, so no epoch finished and no checkpoint was written
+    assert Path(hist).read_text() == "epoch,mean_loss,train_acc,param_norm\n"
+    assert not Path(ckpt).exists()
 
 
 @pytest.mark.parametrize("command,config,fragment", [

@@ -12,6 +12,7 @@ from quadmatch import bench, qap, refine
 from quadmatch.bench import (VARIANTS, evaluate_pairs, match_pair, outlier_sweep,
                              run_benchmark, sweep_to_csv)
 from quadmatch.errors import InvalidInputError
+from quadmatch.qap import QapInstance, objective
 from quadmatch.refine import ParameterSet, init_parameters
 from quadmatch.synth import (SynthConfig, ambiguous_config, easy_config,
                              gen_dataset, gen_synthetic_pair, inject_outliers)
@@ -184,6 +185,15 @@ class TestBenchmark:
         r = match_pair(pair, small_params, "no_prior")
         assert 0.0 <= r.accuracy <= 1.0
 
+    def test_no_pairwise_scores_the_binary_adjacencies(self, small_params):
+        pair = gen_synthetic_pair(small_cfg())
+        r = match_pair(pair, small_params, "no_pairwise")
+        weighted = forward(pair, small_params)[1]
+        binary = QapInstance(pair.a.adjacency, pair.b.adjacency, weighted.x_u)
+        assert r.objective == float(objective(r.matrix, binary))
+        # the swap matters: the weighted instance scores the same matrix otherwise
+        assert r.objective != float(objective(r.matrix, weighted))
+
     def test_unknown_variant_rejected(self, small_params):
         pair = gen_synthetic_pair(small_cfg())
         with pytest.raises(InvalidInputError):
@@ -263,7 +273,7 @@ class TestBenchmark:
         params = init_parameters(pairs[0].a.attributes.shape[1], n_layers=2, seed=5)
         hits = 0
         for pair in pairs:
-            best, _ = brute_force_qap(forward(pair, params).instance)
+            best, _ = brute_force_qap(forward(pair, params)[1])
             gap = match_pair(pair, params, "full").objective - best
             assert gap >= -1e-9
             hits += gap <= 1e-9

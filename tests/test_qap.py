@@ -317,8 +317,8 @@ class TestFrankWolfeInfer:
         # solver stops at the first repeat, after 5 rounds of 50 steps, where
         # the oracle's one-back test replays the cycle through all 10 rounds
         pair = gen_dataset(ambiguous_config(seed=1), 12)[0]
-        res = forward(pair, init_parameters(18, 2, seed=1))
-        x0, inst = ad.value(res.assignment), res.instance
+        start, inst = forward(pair, init_parameters(18, 2, seed=1))
+        x0 = ad.value(frank_wolfe_train(start, inst))
         out_o, trace_o = stepwise_frank_wolfe_infer(x0, inst)
         calls = []
 

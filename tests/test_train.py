@@ -11,6 +11,7 @@ from quadmatch import autodiff as ad
 from quadmatch import qap, refine
 from quadmatch.errors import InvalidInputError, NumericalFailureError
 from quadmatch.losses import LossConfig
+from quadmatch.qap import frank_wolfe_train
 from quadmatch.refine import (init_assignment, init_parameters, node_affinity,
                               refine_pipeline)
 from quadmatch.synth import SynthConfig, easy_config, gen_dataset, gen_synthetic_pair
@@ -34,27 +35,22 @@ def params():
 
 class TestForward:
     def test_m1_zero_is_projected_affinity(self, pair, params):
-        res = forward(pair, params, m1=0)
+        start, _ = forward(pair, params)
         p_a, p_b, _, _ = refine_pipeline(pair.a.attributes, pair.b.attributes,
                                          pair.a.adjacency, pair.b.adjacency, params)
         aff = node_affinity(p_a, p_b, params.w_aff)
         expected = ad.value(init_assignment(aff))
-        np.testing.assert_allclose(ad.value(res.assignment), expected, atol=1e-12)
+        np.testing.assert_allclose(ad.value(start), expected, atol=1e-12)
 
     def test_output_doubly_stochastic(self, pair, params):
-        res = forward(pair, params)
-        x = ad.value(res.assignment)
+        x = ad.value(frank_wolfe_train(*forward(pair, params)))
         np.testing.assert_allclose(x.sum(axis=0), 1.0, atol=1e-5)
         np.testing.assert_allclose(x.sum(axis=1), 1.0, atol=1e-5)
 
     def test_deterministic(self, pair, params):
-        a = ad.value(forward(pair, params).assignment)
-        b = ad.value(forward(pair, params).assignment)
+        a = ad.value(frank_wolfe_train(*forward(pair, params)))
+        b = ad.value(frank_wolfe_train(*forward(pair, params)))
         np.testing.assert_array_equal(a, b)
-
-    def test_binary_adjacency_ablation(self, pair, params):
-        res = forward(pair, params, use_binary_adjacency=True)
-        np.testing.assert_array_equal(ad.value(res.instance.a_d), pair.a.adjacency)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
     def test_bad_tau_rejected(self, pair, params, tau):
@@ -63,7 +59,7 @@ class TestForward:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="tau"):
-                forward(pair, params, tau=tau)
+                frank_wolfe_train(*forward(pair, params), tau=tau)
 
     def test_unequal_sizes_rejected(self, params):
         a = gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=1))
@@ -120,7 +116,7 @@ class TestGradParams:
     def test_assignment_is_the_forward_map(self, pair, params):
         # training differentiates the very map inference evaluates
         _, _, x = grad_params(pair, params, GRAD_CFG)
-        np.testing.assert_array_equal(x, forward(pair, params, m1=1, m2=2).assignment)
+        np.testing.assert_array_equal(x, frank_wolfe_train(*forward(pair, params), 1, 2))
 
     def test_gradients_are_parameter_shaped(self, pair, params):
         g, _, x = grad_params(pair, params, GRAD_CFG)
@@ -128,6 +124,14 @@ class TestGradParams:
         for (k1, t1), (k2, t2) in zip(g.tensors().items(), params.tensors().items()):
             assert k1 == k2 and ad.value(t1).shape == ad.value(t2).shape
         assert x.shape == (5, 5)
+
+    def test_underflowed_iterate_is_a_forward_failure(self):
+        # at tau=0.001 the Sinkhorn direction has entries that underflow to 0,
+        # and the first step, of size 1, lands on it: no log to re-project
+        pair = gen_dataset(SynthConfig(n_inliers=6, d=4, classes=2, seed=3), 2)[0]
+        with pytest.raises(NumericalFailureError) as info:
+            grad_params(pair, init_parameters(6, n_layers=2, seed=0), TrainConfig(tau=0.001))
+        assert info.value.stage == "forward"
 
 
 class TestSgdStep:
