@@ -7,8 +7,9 @@ Subcommands:
   eval          dataset + checkpoint -> four-variant report CSV (and JSON)
   bench-robust  outlier sweep -> CSV of accuracy vs outlier count
 
-Config files are JSON with optional "synth" and "train" sections mirroring
-the corresponding dataclass fields; any other top-level key is an error.
+Config files feed synth, train and bench-robust. They are JSON with
+optional "synth" and "train" sections mirroring the corresponding dataclass
+fields; any other top-level key is an error.
 Inference (match, eval, bench-robust) runs at fixed solver settings: a
 smooth Frank-Wolfe warm start at m1=3, m2=5, tau=1.0, then at most 10
 discrete rounds of at most 50 Hungarian steps each; the run stops once a
@@ -116,7 +117,6 @@ def _cmd_match(args) -> None:
     pair = load_pair(args.pair)
     params = load_parameters(args.checkpoint)
     variant = f"no_{args.ablate}" if args.ablate else "full"
-    _load_config(args.config)
     result = match_pair(pair, params, variant)
     print(f"permutation: {result.permutation.tolist()}")
     print(f"objective: {result.objective!r}")
@@ -132,7 +132,6 @@ def _cmd_match(args) -> None:
 def _cmd_eval(args) -> None:
     pairs = load_dataset(args.data)
     params = load_parameters(args.checkpoint)
-    _load_config(args.config)
     report = run_benchmark(pairs, params)
     write_text(args.out, report.to_csv())
     if args.json:
@@ -176,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="match a single pair")
     p.add_argument("--pair", required=True, help="pair JSON")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", help="JSON config (checked; no section applies here)")
     p.add_argument("--out", help="result JSON path")
     p.add_argument("--trace", help="solver trace CSV path")
     p.add_argument("--ablate", choices=ABLATIONS, default=None)
@@ -185,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate all pipeline variants on a dataset")
     p.add_argument("--data", required=True, help="dataset JSON")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", help="JSON config (checked; no section applies here)")
     p.add_argument("--out", required=True, help="report CSV path")
     p.add_argument("--json", help="optional report JSON path (includes wall-clock)")
     p.set_defaults(func=_cmd_eval)

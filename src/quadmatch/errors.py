@@ -12,13 +12,14 @@ class NumericalFailureError(RuntimeError):
     """A computation produced non-finite values.
 
     ``stage`` names the pipeline stage where the failure was detected;
-    ``history`` may carry partial training history when raised mid-run.
+    ``history`` starts as None, and training sets it to the partial history
+    of a run that fails mid-way.
     """
 
-    def __init__(self, message: str, stage: str | None = None, history=None):
+    def __init__(self, message: str, stage: str):
         super().__init__(message)
         self.stage = stage
-        self.history = history
+        self.history = None
 
 
 def require_ints(obj, names) -> None:

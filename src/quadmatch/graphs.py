@@ -116,10 +116,12 @@ def normalize_coordinates(coords) -> np.ndarray:
 def delaunay_adjacency(coords_norm) -> np.ndarray:
     """Binary adjacency whose edges are the Delaunay triangulation edges.
 
-    Fewer than 3 points give a complete graph. Collinear or coincident inputs
-    fall back to a path graph along the dominant axis; the result shows it,
-    since a path over n points has n - 1 edges and a triangulation of n >= 3
-    points has at least n.
+    Fewer than 3 points give a complete graph. Collinear or all-coincident
+    inputs fall back to a path graph along the dominant axis; the result shows
+    it, since a path over n points has n - 1 edges and a triangulation of
+    n >= 3 points has at least n. A point that coincides with another in an
+    otherwise triangulable set would be in no triangle, so it raises
+    ``InvalidInputError`` rather than become an isolated node.
     """
     c = np.asarray(coords_norm, dtype=float)
     if c.ndim != 2 or c.shape[1] != 2:
@@ -135,6 +137,12 @@ def delaunay_adjacency(coords_norm) -> np.ndarray:
         tri = Delaunay(c)
     except QhullError:
         return _path_adjacency(c)
+    if len(tri.coplanar):
+        # qhull leaves such a point out of every simplex; column 2 is the
+        # vertex it coincides with
+        dropped, _, kept = tri.coplanar[0]
+        raise InvalidInputError(f"keypoint {dropped} coincides with keypoint {kept}, "
+                                "so the Delaunay graph would leave it isolated")
     adj = np.zeros((n, n))
     for simplex in tri.simplices:
         for k in range(3):
@@ -203,7 +211,13 @@ def build_graph(keypoints: KeypointSet) -> Graph:
 
 
 def make_pair(a: KeypointSet, b: KeypointSet, gt) -> GraphPair:
-    return GraphPair(build_graph(a), build_graph(b), gt)
+    graphs = []
+    for name, keypoints in (("graph_a", a), ("graph_b", b)):
+        try:
+            graphs.append(build_graph(keypoints))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{name}: {exc}") from exc
+    return GraphPair(*graphs, gt)
 
 
 def pair_to_dict(pair: GraphPair) -> dict:

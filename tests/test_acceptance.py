@@ -261,7 +261,7 @@ def test_c10_determinism(tmp_path):
             assert main(["train", "--data", data, "--config", str(cfg_path),
                          "--out", ckpt, "--history", hist]) == 0
             assert main(["eval", "--data", data, "--checkpoint", ckpt,
-                         "--config", str(cfg_path), "--out", report]) == 0
+                         "--out", report]) == 0
             outputs.append((open(data, "rb").read(), open(ckpt, "rb").read(),
                             open(hist, "rb").read(), open(report, "rb").read()))
         assert outputs[0] == outputs[1]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadmatch.bench import ABLATIONS, VARIANTS
-from quadmatch.cli import build_parser, main
+from quadmatch.cli import OUTPUT_FLAGS, build_parser, main
 from quadmatch.errors import NumericalFailureError
 from quadmatch.graphs import load_dataset, save_dataset, save_pair
 from quadmatch.refine import init_parameters, load_parameters, save_parameters
@@ -49,8 +49,7 @@ def test_synth_train_eval_match_roundtrip(tmp_path, config_file):
     assert lines[0] == "epoch,mean_loss,train_acc,param_norm"
     assert len(lines) == 3
 
-    assert main(["eval", "--data", data, "--checkpoint", ckpt, "--config", config_file,
-                 "--out", report]) == 0
+    assert main(["eval", "--data", data, "--checkpoint", ckpt, "--out", report]) == 0
     rows = open(report).read().splitlines()
     assert rows[0].startswith("variant,")
     assert len(rows) == 5
@@ -60,7 +59,7 @@ def test_synth_train_eval_match_roundtrip(tmp_path, config_file):
     out_file = str(tmp_path / "match.json")
     trace_file = str(tmp_path / "trace.csv")
     assert main(["match", "--pair", pair_file, "--checkpoint", ckpt,
-                 "--config", config_file, "--out", out_file, "--trace", trace_file]) == 0
+                 "--out", out_file, "--trace", trace_file]) == 0
     result = json.loads(open(out_file).read())
     assert sorted(result["permutation"]) == list(range(5))
     assert open(trace_file).read().startswith("outer,inner,epsilon,objective")
@@ -80,6 +79,25 @@ def test_match_ablate_flag(tmp_path, config_file):
     assert json.loads(open(out_file).read())["variant"] == "no_qc"
     # no Frank-Wolfe solve ran, so the trace is the header alone
     assert open(trace_file).read() == "outer,inner,epsilon,objective\n"
+
+
+# every subcommand's options; a new one, or one that comes back, is a
+# deliberate edit here
+CLI_OPTIONS = {
+    "synth": {"config", "out", "n_pairs", "seed"},
+    "train": {"data", "config", "out", "history", "seed"},
+    "match": {"pair", "checkpoint", "out", "trace", "ablate"},
+    "eval": {"data", "checkpoint", "out", "json"},
+    "bench-robust": {"config", "checkpoint", "out", "kmax", "n_pairs", "sigma", "seed"},
+}
+
+
+def test_cli_options_are_pinned():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    options = {name: {a.dest for a in p._actions if a.dest != "help"}
+               for name, p in sub.choices.items()}
+    assert options == CLI_OPTIONS
+    assert set(OUTPUT_FLAGS) <= set().union(*CLI_OPTIONS.values())
 
 
 def test_ablate_choices_are_the_bench_ablations(tmp_path):
@@ -170,8 +188,7 @@ def test_identical_runs_byte_identical(tmp_path, config_file):
         main(["synth", "--config", config_file, "--out", data, "--n-pairs", "3"])
         main(["train", "--data", data, "--config", config_file,
               "--out", ckpt, "--history", hist])
-        main(["eval", "--data", data, "--checkpoint", ckpt,
-              "--config", config_file, "--out", report])
+        main(["eval", "--data", data, "--checkpoint", ckpt, "--out", report])
         outs.append((open(data, "rb").read(), open(ckpt, "rb").read(),
                      open(hist, "rb").read(), open(report, "rb").read()))
     assert outs[0] == outs[1]
@@ -238,56 +255,52 @@ def test_underflowed_training_exits_2_with_history(tmp_path, capsys):
     assert not Path(ckpt).exists()
 
 
-@pytest.mark.parametrize("command,config,fragment", [
-    ("synth", {"synth": 5}, "'synth'"),
-    ("train", {"train": [1, 2]}, "'train'"),
-    ("match", {"solver": 5}, "'solver'"),
-    ("synth", {"synt": {}}, "'synt'"),
-    ("match", {"solver": {"m1": 3}}, "'solver'"),
-    ("train", {"train": {"tau": -1.0}}, "tau"),
-    ("train", {"train": {"grad_cap": 0}}, "grad_cap"),
-    ("train", {"train": {"epochs": 1.5}}, "epochs must be an integer"),
-    ("train", {"train": {"epochs": True}}, "epochs must be an integer"),
-    ("train", {"train": {"m1": 1.5}}, "m1 must be an integer"),
-    ("train", {"train": {"m2": 2.0}}, "m2 must be an integer"),
-    ("train", {"train": {"n_layers": 1.5}}, "n_layers must be an integer"),
-    ("train", {"train": {"seed": 3.5}}, "seed must be an integer"),
-    ("synth", {"synth": {"n_inliers": 8.5}}, "n_inliers must be an integer"),
-    ("synth", {"synth": {"d": 4.0}}, "d must be an integer"),
-    ("synth", {"synth": {"classes": 2.5}}, "classes must be an integer"),
-    ("synth", {"synth": {"n_outliers": 1.0}}, "n_outliers must be an integer"),
-    ("synth", {"synth": {"seed": 3.5}}, "seed must be an integer"),
-    ("train", {"train": {"learning_rate": True}}, "learning_rate must be a real number"),
-    ("train", {"train": {"learning_rate": None}}, "learning_rate must be a real number"),
-    ("train", {"train": {"learning_rate": float("nan")}}, "learning_rate must be a real number"),
-    ("train", {"train": {"tau": True}}, "tau must be a real number"),
-    ("train", {"train": {"grad_cap": True}}, "grad_cap must be a real number"),
-    ("train", {"train": {"alpha": True}}, "alpha must be a real number"),
-    ("train", {"train": {"beta": True}}, "beta must be a real number"),
-    ("train", {"train": {"clip_eps": True}}, "clip_eps must be a real number"),
-    ("synth", {"synth": {"feature_noise": True}}, "feature_noise must be a real number"),
-    ("synth", {"synth": {"coord_jitter": "0.01"}}, "coord_jitter must be a real number"),
-    ("synth", {"synth": {"rotate_b": 2}}, "rotate_b must be a bool"),
-    ("train", {"train": {"learning_rate": float("inf")}}, "learning_rate must be a real number"),
-    ("train", {"train": {"tau": float("inf")}}, "tau must be a real number"),
-    ("train", {"train": {"grad_cap": float("inf")}}, "grad_cap must be a real number"),
-    ("train", {"train": {"beta": -float("inf")}}, "beta must be a real number"),
-    ("synth", {"synth": {"coord_jitter": float("inf")}}, "coord_jitter must be a real number"),
-])
+# keyed by each row's number in its test id, which stays put when a row goes
+BAD_CONFIGS = {
+    0: ("synth", {"synth": 5}, "'synth'"),
+    1: ("train", {"train": [1, 2]}, "'train'"),
+    3: ("synth", {"synt": {}}, "'synt'"),
+    5: ("train", {"train": {"tau": -1.0}}, "tau"),
+    6: ("train", {"train": {"grad_cap": 0}}, "grad_cap"),  # the cap is a constant, not a field
+    7: ("train", {"train": {"epochs": 1.5}}, "epochs must be an integer"),
+    8: ("train", {"train": {"epochs": True}}, "epochs must be an integer"),
+    9: ("train", {"train": {"m1": 1.5}}, "m1 must be an integer"),
+    10: ("train", {"train": {"m2": 2.0}}, "m2 must be an integer"),
+    11: ("train", {"train": {"n_layers": 1.5}}, "n_layers must be an integer"),
+    12: ("train", {"train": {"seed": 3.5}}, "seed must be an integer"),
+    13: ("synth", {"synth": {"n_inliers": 8.5}}, "n_inliers must be an integer"),
+    14: ("synth", {"synth": {"d": 4.0}}, "d must be an integer"),
+    15: ("synth", {"synth": {"classes": 2.5}}, "classes must be an integer"),
+    16: ("synth", {"synth": {"n_outliers": 1.0}}, "n_outliers must be an integer"),
+    17: ("synth", {"synth": {"seed": 3.5}}, "seed must be an integer"),
+    18: ("train", {"train": {"learning_rate": True}}, "learning_rate must be a real number"),
+    19: ("train", {"train": {"learning_rate": None}}, "learning_rate must be a real number"),
+    20: ("train", {"train": {"learning_rate": float("nan")}}, "learning_rate must be a real number"),
+    21: ("train", {"train": {"tau": True}}, "tau must be a real number"),
+    23: ("train", {"train": {"alpha": True}}, "alpha must be a real number"),
+    24: ("train", {"train": {"beta": True}}, "beta must be a real number"),
+    25: ("train", {"train": {"clip_eps": True}}, "clip_eps must be a real number"),
+    26: ("synth", {"synth": {"feature_noise": True}}, "feature_noise must be a real number"),
+    27: ("synth", {"synth": {"coord_jitter": "0.01"}}, "coord_jitter must be a real number"),
+    28: ("synth", {"synth": {"rotate_b": 2}}, "rotate_b must be a bool"),
+    29: ("train", {"train": {"learning_rate": float("inf")}}, "learning_rate must be a real number"),
+    30: ("train", {"train": {"tau": float("inf")}}, "tau must be a real number"),
+    32: ("train", {"train": {"beta": -float("inf")}}, "beta must be a real number"),
+    33: ("synth", {"synth": {"coord_jitter": float("inf")}}, "coord_jitter must be a real number"),
+}
+
+
+@pytest.mark.parametrize("command,config,fragment", BAD_CONFIGS.values(),
+                         ids=[f"{c}-config{i}-{f}" for i, (c, _, f) in BAD_CONFIGS.items()])
 def test_bad_config_exit_code(tmp_path, capsys, command, config, fragment):
     cfg = tmp_path / "bad_config.json"
     cfg.write_text(json.dumps(config))
     pair = gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3))
     data = tmp_path / "data.json"
     save_dataset([pair], str(data))
-    pair_file = tmp_path / "pair.json"
-    save_pair(pair, str(pair_file))
-    ckpt = tmp_path / "ckpt.json"
-    save_parameters(init_parameters(pair.a.attributes.shape[1], n_layers=1, seed=0), str(ckpt))
     argv = {
         "synth": ["synth", "--out", str(tmp_path / "out.json"), "--n-pairs", "1"],
         "train": ["train", "--data", str(data), "--out", str(tmp_path / "c.json")],
-        "match": ["match", "--pair", str(pair_file), "--checkpoint", str(ckpt)],
     }[command]
     assert main(argv + ["--config", str(cfg)]) == 1
     err = capsys.readouterr().err
@@ -308,11 +321,16 @@ def _huge_features(obj):
     obj["graph_a"]["features"][0] = [1e160] * 4
 
 
+def _coincident_keypoints(obj):
+    obj["graph_b"]["coords"][4] = obj["graph_b"]["coords"][3]
+
+
 @pytest.mark.parametrize("edit,fragment", [
     (_fractional_gt, "ground truth entries must be integer"),
     (_gt_below_minus_one, "or -1 for an outlier"),
     (_huge_features, "feature rows are too large"),
-], ids=["fractional_gt", "gt_below_minus_one", "huge_features"])
+    (_coincident_keypoints, "error: graph_b: keypoint 4 coincides with keypoint 3, "),
+], ids=["fractional_gt", "gt_below_minus_one", "huge_features", "coincident_keypoints"])
 def test_bad_pair_exit_code(tmp_path, capsys, edit, fragment):
     pair_file = tmp_path / "pair.json"
     save_pair(gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3)), str(pair_file))

@@ -102,6 +102,16 @@ class TestDelaunayAdjacency:
         adj = delaunay_adjacency([(1.0, 1.0)] * 4)
         assert adj.sum() == 2 * 3  # a path over 4 nodes
 
+    @pytest.mark.parametrize("coords,dropped,kept", [
+        ([(0, 0), (0, 0), (1, 0), (0, 1)], 1, 0),
+        ([(0, 0), (1, 0), (0, 1), (1, 1), (1, 1)], 4, 3),
+    ])
+    def test_coincident_keypoint_rejected(self, coords, dropped, kept):
+        # qhull would leave the duplicate out of every triangle: an isolated node
+        with pytest.raises(InvalidInputError,
+                           match=f"^keypoint {dropped} coincides with keypoint {kept}, "):
+            delaunay_adjacency(normalize_coordinates(coords))
+
     @given(seed=st.integers(0, 2_000), n=st.integers(4, 12))
     def test_matches_brute_force(self, seed, n):
         coords = np.random.default_rng(seed).uniform(size=(n, 2))

@@ -15,7 +15,7 @@ from quadmatch.qap import frank_wolfe_train
 from quadmatch.refine import (init_assignment, init_parameters, node_affinity,
                               refine_pipeline)
 from quadmatch.synth import SynthConfig, easy_config, gen_dataset, gen_synthetic_pair
-from quadmatch.train import (TrainConfig, forward, grad_params, sgd_step, train)
+from quadmatch.train import (GRAD_CAP, TrainConfig, forward, grad_params, sgd_step, train)
 
 FIXTURE_CFG = SynthConfig(n_inliers=5, d=4, classes=5, feature_noise=0.2,
                           coord_jitter=0.02, seed=13)
@@ -197,7 +197,7 @@ class TestTrainLoop:
                                         rotate_b=True), 2)
         cfg = TrainConfig(epochs=50, seed=0, loss="cross_entropy",
                           loss_cfg=LossConfig(clip_eps=1e-300), tau=0.05,
-                          grad_cap=None, learning_rate=10.0)
+                          learning_rate=10.0)
         try:
             train(pairs, cfg)
         except NumericalFailureError as exc:
@@ -205,6 +205,19 @@ class TestTrainLoop:
             assert exc.history is not None
         # a run that survives is also acceptable; the contract under test is
         # only that failures carry partial history
+
+    @pytest.mark.parametrize("loss,clipped", [("false_matching", True),
+                                              ("cross_entropy", False)])
+    def test_step_norm_is_capped(self, pair, params, loss, clipped):
+        # at the fixture's start the false-matching gradient norm is about
+        # 436, the cross-entropy one about 14
+        cfg = TrainConfig(epochs=1, m1=1, m2=2, loss=loss)
+        grads, _, _ = grad_params(pair, params, cfg)
+        assert (grads.norm() > GRAD_CAP) == clipped
+        trained, _ = train([pair], cfg, params)
+        step = np.linalg.norm(trained.flatten() - params.flatten())
+        np.testing.assert_allclose(step, cfg.learning_rate * min(grads.norm(), GRAD_CAP),
+                                   rtol=1e-12)
 
 
 class TestConfigValidation:
@@ -222,7 +235,6 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("overrides", [
         {"tau": 0.0}, {"tau": -1.0}, {"tau": float("nan")},
-        {"grad_cap": 0.0}, {"grad_cap": -1.0}, {"grad_cap": float("nan")},
     ])
     def test_bad_tau_or_grad_cap(self, overrides):
         with pytest.raises(InvalidInputError):
