@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError, prefixed
 from .files import csv_text, json_text
 from .graphs import Graph, GraphPair, assemble_attributes
 from .losses import accuracy, f1_score, matrix_to_permutation, permutation_to_matrix
@@ -129,10 +129,8 @@ def evaluate_pairs(pairs, params: ParameterSet, variant: str = "full") -> Varian
         raise InvalidInputError("evaluation requires a non-empty dataset")
     _check_variant(variant)
     for i, pair in enumerate(pairs):
-        try:
+        with prefixed(f"pair {i}"):
             check_width(pair, params)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"pair {i}: {exc}") from None
     t0 = time.perf_counter()
     accs, f1s, objs = [], [], []
     failures = 0
@@ -154,8 +152,6 @@ def evaluate_pairs(pairs, params: ParameterSet, variant: str = "full") -> Varian
 
 def run_benchmark(pairs, params: ParameterSet) -> ExperimentReport:
     """Evaluate all four pipeline variants over the dataset."""
-    if not pairs:
-        raise InvalidInputError("benchmark requires a non-empty dataset")
     return ExperimentReport([evaluate_pairs(pairs, params, v) for v in VARIANTS])
 
 

@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import math
+from contextlib import contextmanager
 from numbers import Integral, Real
 
 
@@ -39,3 +40,13 @@ def require_reals(obj, names) -> None:
         v = getattr(obj, name)
         if isinstance(v, bool) or not isinstance(v, Real) or not -math.inf < v < math.inf:
             raise InvalidInputError(f"{name} must be a real number, got {v!r}")
+
+
+@contextmanager
+def prefixed(prefix: str):
+    """Re-raise an ``InvalidInputError`` from the block with ``prefix: ``
+    before its message, naming the graph or pair it concerns."""
+    try:
+        yield
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{prefix}: {exc}") from exc

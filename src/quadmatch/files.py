@@ -3,12 +3,17 @@
 A CSV is a header line, then one comma-joined line per row, with each float
 written by ``repr`` so that it reads back exactly and two runs on the same
 seeds give byte-identical files. A JSON file is indented by 2 with sorted
-keys. Every file is UTF-8.
+keys. Every file is UTF-8. An array read from a JSON file becomes a float
+ndarray through ``float_array`` alone.
 """
 
 from __future__ import annotations
 
 import json
+
+import numpy as np
+
+from .errors import InvalidInputError
 
 
 def csv_text(header: str, rows) -> str:
@@ -30,3 +35,12 @@ def read_json(path):
 def write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def float_array(value, what: str) -> np.ndarray:
+    """``value`` as a float ndarray; raise ``InvalidInputError`` naming
+    ``what`` unless it is a rectangular array of numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{what} is not a rectangular array of numbers ({exc})") from exc

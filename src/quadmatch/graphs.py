@@ -14,8 +14,8 @@ import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
 from . import autodiff as ad
-from .errors import InvalidInputError
-from .files import json_text, read_json, write_text
+from .errors import InvalidInputError, prefixed
+from .files import float_array, json_text, read_json, write_text
 
 # added to each attribute row's norm in the cosine kernel, so a row that
 # collapses to zero (a rectified GCN output) gives a zero kernel row
@@ -26,16 +26,17 @@ KERNEL_EPS = 1e-8
 class KeypointSet:
     """Raw per-node data: 2D coordinates and feature rows.
 
-    Feature rows must be finite and small enough that their squared norm,
-    which the cosine kernel forms, does not overflow.
+    Each must be a rectangular array of numbers. Feature rows must be finite
+    and small enough that their squared norm, which the cosine kernel forms,
+    does not overflow.
     """
 
     coords: np.ndarray
     features: np.ndarray
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        features = np.asarray(self.features, dtype=float)
+        coords = float_array(self.coords, "coords")
+        features = float_array(self.features, "features")
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise InvalidInputError(f"coords must be n x 2, got shape {coords.shape}")
         if features.ndim != 2 or features.shape[0] != coords.shape[0]:
@@ -213,39 +214,34 @@ def build_graph(keypoints: KeypointSet) -> Graph:
 def make_pair(a: KeypointSet, b: KeypointSet, gt) -> GraphPair:
     graphs = []
     for name, keypoints in (("graph_a", a), ("graph_b", b)):
-        try:
+        with prefixed(name):
             graphs.append(build_graph(keypoints))
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{name}: {exc}") from exc
     return GraphPair(*graphs, gt)
 
 
 def pair_to_dict(pair: GraphPair) -> dict:
-    return {
-        "graph_a": {
-            "coords": pair.a.keypoints.coords.tolist(),
-            "features": pair.a.keypoints.features.tolist(),
-        },
-        "graph_b": {
-            "coords": pair.b.keypoints.coords.tolist(),
-            "features": pair.b.keypoints.features.tolist(),
-        },
-        "gt_permutation": pair.gt.tolist(),
-    }
+    obj = {name: {"coords": g.keypoints.coords.tolist(), "features": g.keypoints.features.tolist()}
+           for name, g in (("graph_a", pair.a), ("graph_b", pair.b))}
+    return {**obj, "gt_permutation": pair.gt.tolist()}
 
 
 def pair_from_dict(obj: dict) -> GraphPair:
+    """The pair a JSON object holds; an error in a graph's keypoints names
+    the graph."""
     if not isinstance(obj, dict):
         raise InvalidInputError("a graph pair must be a JSON object with 'graph_a', "
                                 "'graph_b' and 'gt_permutation'")
     try:
-        ga, gb = obj["graph_a"], obj["graph_b"]
-        a = KeypointSet(np.asarray(ga["coords"], dtype=float), np.asarray(ga["features"], dtype=float))
-        b = KeypointSet(np.asarray(gb["coords"], dtype=float), np.asarray(gb["features"], dtype=float))
+        graphs = [(name, obj[name]["coords"], obj[name]["features"])
+                  for name in ("graph_a", "graph_b")]
         gt = obj["gt_permutation"]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed graph-pair object: {exc}") from exc
-    return make_pair(a, b, gt)
+    keypoints = []
+    for name, coords, features in graphs:
+        with prefixed(name):
+            keypoints.append(KeypointSet(coords, features))
+    return make_pair(*keypoints, gt)
 
 
 def save_pair(pair: GraphPair, path) -> None:
@@ -264,4 +260,8 @@ def load_dataset(path) -> list[GraphPair]:
     obj = read_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("pairs"), list):
         raise InvalidInputError("dataset file must contain a 'pairs' array")
-    return [pair_from_dict(p) for p in obj["pairs"]]
+    pairs = []
+    for i, p in enumerate(obj["pairs"]):
+        with prefixed(f"pair {i}"):
+            pairs.append(pair_from_dict(p))
+    return pairs

@@ -2,7 +2,7 @@
 
 Two alternating rounds of graph convolution and adjacency reweighting refine
 the node attributes of both graphs; a bilinear learnable metric between the
-refined attribute sets yields the positive node-affinity matrix whose
+refined attribute sets yields the log of the positive node affinity, whose
 Sinkhorn projection initializes the matching variable.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidInputError, require_ints
-from .files import json_text, read_json, write_text
+from .files import float_array, json_text, read_json, write_text
 from .graphs import weighted_adjacency
 from .projections import sinkhorn
 
@@ -150,13 +150,8 @@ def load_parameters(path) -> ParameterSet:
     if len(held) != count or held != sorted(ParameterSet.names(header.n_layers)):
         raise InvalidInputError(f"checkpoint tensors {held} are not the {count} "
                                 f"named by n_layers {header.n_layers}")
-    tensors = {}
-    for name, t in obj["tensors"].items():
-        try:
-            tensors[name] = np.asarray(t, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"malformed checkpoint: tensor {name!r} is not a "
-                                    f"rectangular array of numbers ({exc})") from exc
+    tensors = {name: float_array(t, f"malformed checkpoint: tensor {name!r}")
+               for name, t in obj["tensors"].items()}
     params = ParameterSet.from_tensors(tensors, header.n_layers, seed=header.seed)
     params.validate()
     if header.dim != params.dim:
@@ -189,19 +184,13 @@ def refine_pipeline(p_a, p_b, adj_a, adj_b, params: ParameterSet):
     return p_a, p_b, a_d, b_d
 
 
-@dataclass
-class AffinityResult:
-    matrix: object      # positive affinity (may underflow to 0 in float)
-    log_matrix: object  # shifted exponent: log of the affinity, always finite
+def node_affinity(p_a, p_b, w_aff):
+    """Log of the exponential bilinear affinity between the two attribute sets.
 
-
-def node_affinity(p_a, p_b, w_aff) -> AffinityResult:
-    """Exponential bilinear affinity between the two attribute sets.
-
-    The global maximum of the exponent is subtracted before exponentiation
-    (a single global shift, so the Sinkhorn fixed point is unchanged); the
-    shifted exponent itself is kept alongside so downstream Sinkhorn can run
-    fully in the log domain when the spread is too wide to exponentiate.
+    Returns the exponent shifted down by its global maximum, so every entry
+    is finite and at most 0; the single global shift leaves the Sinkhorn
+    fixed point unchanged, and the affinity itself is its ``exp``, which may
+    underflow to 0 where the log does not.
     """
     pa, pb, w = ad.value(p_a), ad.value(p_b), ad.value(w_aff)
     if pa.shape[1] != w.shape[0] or pb.shape[1] != w.shape[1]:
@@ -210,11 +199,10 @@ def node_affinity(p_a, p_b, w_aff) -> AffinityResult:
         exponent = (p_a @ w_aff) @ ad.transpose(p_b)
     if not np.all(np.isfinite(ad.value(exponent))):
         raise InvalidInputError("affinity exponent is not finite")
-    log_matrix = exponent - ad.amax(exponent)
-    return AffinityResult(ad.exp(log_matrix), log_matrix)
+    return exponent - ad.amax(exponent)
 
 
-def init_assignment(affinity: AffinityResult):
-    """Sinkhorn projection of the affinity's shifted exponent, unrolled at a
-    fixed iteration count: the solver's smooth start point."""
-    return sinkhorn(affinity.log_matrix).matrix
+def init_assignment(log_affinity):
+    """Sinkhorn projection of the log affinity, unrolled at a fixed
+    iteration count: the solver's smooth start point."""
+    return sinkhorn(log_affinity).matrix

@@ -28,6 +28,10 @@ FEATURE_SCALE = 1.6  # prototype norm; keeps affinity exponents unsaturated
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """One class of synthetic pairs. The defaults are the easy class
+    (``easy_config``): near-copy pairs with distinct prototypes, solvable,
+    with mild feature noise."""
+
     n_inliers: int = 8
     d: int = 16
     classes: int = 8         # distinct feature prototypes; < n_inliers duplicates them
@@ -116,11 +120,8 @@ def gen_dataset(cfg: SynthConfig, n_pairs: int) -> list[GraphPair]:
 
 
 def easy_config(seed: int = 0, **overrides) -> SynthConfig:
-    """Near-copy pairs with distinct prototypes: solvable, mild feature noise."""
-    base = dict(n_inliers=8, d=16, classes=8, feature_noise=0.15,
-                coord_jitter=0.005, seed=seed)
-    base.update(overrides)
-    return SynthConfig(**base)
+    """The easy class: ``SynthConfig``'s defaults."""
+    return SynthConfig(seed=seed, **overrides)
 
 
 def ambiguous_config(seed: int = 0, **overrides) -> SynthConfig:

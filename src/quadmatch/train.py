@@ -22,8 +22,8 @@ from .losses import (LossConfig, accuracy, cross_entropy_loss, false_matching_lo
                      permutation_to_matrix)
 from .projections import hungarian
 from .qap import FW_TRAIN_INNER, FW_TRAIN_OUTER, QapInstance, frank_wolfe_train
-from .refine import (ParameterSet, init_assignment, init_parameters, node_affinity,
-                     refine_pipeline)
+from .refine import (DEFAULT_LAYERS, ParameterSet, init_assignment, init_parameters,
+                     node_affinity, refine_pipeline)
 
 LOSSES = {"false_matching": false_matching_loss, "cross_entropy": cross_entropy_loss}
 # exponential losses through the unrolled solver spike by orders of magnitude
@@ -42,7 +42,7 @@ class TrainConfig:
     seed: int = 0
     loss_cfg: LossConfig = field(default_factory=LossConfig)
     tau: float = 0.3
-    n_layers: int = 2
+    n_layers: int = DEFAULT_LAYERS
 
     def __post_init__(self):
         require_ints(self, ("epochs", "m1", "m2", "seed", "n_layers"))
@@ -89,11 +89,12 @@ def check_width(pair: GraphPair, params: ParameterSet) -> None:
 
 
 def forward(pair: GraphPair, params: ParameterSet) -> tuple[object, QapInstance]:
-    """Refine attributes, build the affinity, and project it.
+    """Refine attributes, build the log affinity, and project it.
 
-    Returns ``(start, instance)``: the Sinkhorn-projected affinity, a soft
-    matching (ndarray, or tape ``Var`` under lifted parameters), and the
-    instance over the refined weighted adjacencies and the affinity.
+    Returns ``(start, instance)``: the Sinkhorn projection of the log
+    affinity, a soft matching (ndarray, or tape ``Var`` under lifted
+    parameters), and the instance over the refined weighted adjacencies
+    whose unary term is the affinity, the one ``exp`` of its log.
     Training hands both to ``frank_wolfe_train``; ``bench.match_pair`` builds
     every inference variant on them.
     """
@@ -102,8 +103,9 @@ def forward(pair: GraphPair, params: ParameterSet) -> tuple[object, QapInstance]
     check_width(pair, params)
     p_a, p_b, a_d, b_d = refine_pipeline(
         pair.a.attributes, pair.b.attributes, pair.a.adjacency, pair.b.adjacency, params)
-    aff = node_affinity(p_a, p_b, params.w_aff)
-    return init_assignment(aff), QapInstance(a_d, b_d, aff.matrix)
+    log_aff = node_affinity(p_a, p_b, params.w_aff)
+    x_u = ad.exp(log_aff)
+    return init_assignment(log_aff), QapInstance(a_d, b_d, x_u)
 
 
 def grad_params(pair: GraphPair, params: ParameterSet,

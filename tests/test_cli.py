@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadmatch import autodiff as ad
 from quadmatch.bench import ABLATIONS, VARIANTS
 from quadmatch.cli import OUTPUT_FLAGS, build_parser, main
 from quadmatch.errors import NumericalFailureError
 from quadmatch.graphs import load_dataset, save_dataset, save_pair
 from quadmatch.refine import init_parameters, load_parameters, save_parameters
 from quadmatch.synth import SynthConfig, gen_synthetic_pair
+from quadmatch.train import LOSSES, TrainConfig, train
 
 
 @pytest.fixture
@@ -255,6 +257,29 @@ def test_underflowed_training_exits_2_with_history(tmp_path, capsys):
     assert not Path(ckpt).exists()
 
 
+def test_failure_in_epoch_1_writes_epoch_0_history(tmp_path, capsys, monkeypatch):
+    # two pairs an epoch, so the third loss is the first of epoch 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"n_inliers": 5, "d": 4, "classes": 5, "seed": 3},
+                                  "train": {"epochs": 3, "n_layers": 1, "m1": 1, "m2": 2}}))
+    data, ckpt, hist = (str(tmp_path / name) for name in ("data.json", "c.json", "h.csv"))
+    assert main(["synth", "--config", str(config), "--out", data, "--n-pairs", "2"]) == 0
+    _, clean = train(load_dataset(data), TrainConfig(epochs=1, n_layers=1, m1=1, m2=2))
+    real, calls = LOSSES["false_matching"], []
+
+    def third_fails(x, x_star, loss_cfg):
+        calls.append(None)
+        return real(x, x_star, loss_cfg) if len(calls) != 3 else ad.asum(ad.log(x * 0.0))
+
+    monkeypatch.setitem(LOSSES, "false_matching", third_fails)
+    capsys.readouterr()
+    assert main(["train", "--data", data, "--config", str(config), "--out", ckpt,
+                 "--history", hist]) == 2
+    assert capsys.readouterr().err == "numerical failure (loss): loss is not finite\n"
+    assert Path(hist).read_text() == clean.to_csv()
+    assert len(clean.entries) == 1 and not Path(ckpt).exists()
+
+
 # keyed by each row's number in its test id, which stays put when a row goes
 BAD_CONFIGS = {
     0: ("synth", {"synth": 5}, "'synth'"),
@@ -287,6 +312,12 @@ BAD_CONFIGS = {
     30: ("train", {"train": {"tau": float("inf")}}, "tau must be a real number"),
     32: ("train", {"train": {"beta": -float("inf")}}, "beta must be a real number"),
     33: ("synth", {"synth": {"coord_jitter": float("inf")}}, "coord_jitter must be a real number"),
+    34: ("synth", [1], "config file must contain a JSON object"),
+    35: ("synth", {"synth": {"foo": 1}}, "bad synth config"),
+    36: ("synth", {"synth": {"d": 0}}, "d and classes must be >= 1"),
+    37: ("synth", {"synth": {"classes": 0}}, "d and classes must be >= 1"),
+    38: ("synth", {"synth": {"n_outliers": -1}}, "n_outliers must be >= 0"),
+    39: ("train", {"train": {"m1": -1}}, "m1 and m2 must be non-negative"),
 }
 
 
@@ -325,12 +356,51 @@ def _coincident_keypoints(obj):
     obj["graph_b"]["coords"][4] = obj["graph_b"]["coords"][3]
 
 
+def _ragged_coords(obj):
+    obj["graph_a"]["coords"][1] = [1.0]
+
+
+def _text_features(obj):
+    obj["graph_b"]["features"][0] = ["a", "b", "c", "d"]
+
+
+def _three_column_coords(obj):
+    obj["graph_a"]["coords"] = [row + [0.0] for row in obj["graph_a"]["coords"]]
+
+
+def _features_row_short(obj):
+    obj["graph_a"]["features"].pop()
+
+
+def _nan_coordinate(obj):
+    obj["graph_a"]["coords"][2][0] = float("nan")
+
+
+def _infinite_feature(obj):
+    obj["graph_b"]["features"][2][1] = float("inf")
+
+
+def _gt_short(obj):
+    obj["gt_permutation"].pop()
+
+
 @pytest.mark.parametrize("edit,fragment", [
     (_fractional_gt, "ground truth entries must be integer"),
     (_gt_below_minus_one, "or -1 for an outlier"),
     (_huge_features, "feature rows are too large"),
     (_coincident_keypoints, "error: graph_b: keypoint 4 coincides with keypoint 3, "),
-], ids=["fractional_gt", "gt_below_minus_one", "huge_features", "coincident_keypoints"])
+    (_ragged_coords, "error: graph_a: coords is not a rectangular array of numbers (setting "
+                     "an array element with a sequence."),
+    (_text_features, "error: graph_b: features is not a rectangular array of numbers (could "
+                     "not convert string to float: 'a')\n"),
+    (_three_column_coords, "error: graph_a: coords must be n x 2, got shape (5, 3)\n"),
+    (_features_row_short, "error: graph_a: features must have one row per keypoint\n"),
+    (_nan_coordinate, "error: graph_a: keypoint coordinates and features must be finite\n"),
+    (_infinite_feature, "error: graph_b: keypoint coordinates and features must be finite\n"),
+    (_gt_short, "error: ground truth must have one entry per node of graph a\n"),
+], ids=["fractional_gt", "gt_below_minus_one", "huge_features", "coincident_keypoints",
+        "ragged_coords", "text_features", "three_column_coords", "features_row_short",
+        "nan_coordinate", "infinite_feature", "gt_short"])
 def test_bad_pair_exit_code(tmp_path, capsys, edit, fragment):
     pair_file = tmp_path / "pair.json"
     save_pair(gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3)), str(pair_file))
@@ -346,6 +416,19 @@ def test_bad_pair_exit_code(tmp_path, capsys, edit, fragment):
     assert err.startswith("error:") and fragment in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "RuntimeWarning" not in err
+
+
+def test_all_outlier_ground_truth_scores_zero(tmp_path, capsys):
+    # no node of graph a has a match, so accuracy and F1 have nothing to count
+    pair_file = tmp_path / "pair.json"
+    save_pair(gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3)), str(pair_file))
+    obj = json.loads(pair_file.read_text())
+    obj["gt_permutation"] = [-1] * 5
+    pair_file.write_text(json.dumps(obj))
+    ckpt = str(tmp_path / "ckpt.json")
+    save_parameters(init_parameters(6, n_layers=1, seed=0), ckpt)
+    assert main(["match", "--pair", str(pair_file), "--checkpoint", ckpt]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "accuracy: 0.0  f1: 0.0"
 
 
 @pytest.mark.parametrize("text", ["[]", "1", '"pair"', "NaN", "null"])
@@ -382,6 +465,54 @@ def test_malformed_dataset_exit_code(tmp_path, capsys, command, text, fragment):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err and err.count("\n") == 1
+
+
+def _ragged_graph_b_coords(obj):
+    obj["graph_b"]["coords"][0] = [0.5, 0.5, 0.5]
+
+
+def _repeated_gt(obj):
+    obj["gt_permutation"][1] = obj["gt_permutation"][0]
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize("edit,message", [
+    (_ragged_graph_b_coords, "error: pair 2: graph_b: coords is not a rectangular array of "
+                             "numbers (setting an array element with a sequence."),
+    (_repeated_gt, "error: pair 2: ground truth must map distinct nodes into graph b\n"),
+], ids=["ragged_coords", "repeated_gt"])
+def test_bad_dataset_pair_names_the_pair(tmp_path, capsys, command, edit, message):
+    data = tmp_path / "data.json"
+    pairs = [gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=s)) for s in range(3)]
+    save_dataset(pairs, str(data))
+    obj = json.loads(data.read_text())
+    edit(obj["pairs"][2])
+    data.write_text(json.dumps(obj))
+    ckpt = str(tmp_path / "ckpt.json")
+    save_parameters(init_parameters(6, n_layers=1, seed=0), ckpt)
+    out = tmp_path / "out"
+    argv = {"eval": ["eval", "--data", str(data), "--checkpoint", ckpt, "--out", str(out)],
+            "train": ["train", "--data", str(data), "--out", str(out)]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,data,message", [
+    (["synth", "--n-pairs", "0"], None, "n_pairs must be >= 1"),
+    (["eval"], '{"pairs": []}', "evaluation requires a non-empty dataset"),
+], ids=["synth_no_pairs", "eval_empty_dataset"])
+def test_empty_request_exit_code(tmp_path, capsys, argv, data, message):
+    out = tmp_path / "out"
+    if data is not None:
+        (tmp_path / "data.json").write_text(data)
+        save_parameters(init_parameters(6, n_layers=1, seed=0), str(tmp_path / "ckpt.json"))
+        argv = argv + ["--data", str(tmp_path / "data.json"),
+                       "--checkpoint", str(tmp_path / "ckpt.json")]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n_layers", [0, 2])
@@ -501,10 +632,12 @@ def _drop_tensor(name):
     (lambda obj: obj["tensors"].update(w_aff={"a": 1}), "malformed checkpoint"),
     (lambda obj: obj["tensors"].update(w_aff=[[1.0, 2.0], [3.0]]),
      "malformed checkpoint: tensor 'w_aff' is not a rectangular array of numbers"),
+    (lambda obj: obj["tensors"]["w_aff"][0].__setitem__(0, float("nan")),
+     "parameter w_aff contains non-finite entries"),
 ], ids=["fractional_layers", "string_layers", "bool_layers", "null_layers", "negative_layers",
         "too_few_layers", "too_many_layers", "huge_layers", "missing_tensor", "misnamed_tensor",
         "extra_tensor", "wrong_dim", "float_dim", "string_seed", "fractional_seed",
-        "tensors_not_object", "scalar_w_aff", "object_w_aff", "ragged_w_aff"])
+        "tensors_not_object", "scalar_w_aff", "object_w_aff", "ragged_w_aff", "nan_w_aff"])
 def test_bad_checkpoint_exit_code(tmp_path, capsys, edit, message):
     pair_file = tmp_path / "pair.json"
     save_pair(gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3)), str(pair_file))

@@ -9,9 +9,9 @@ from quadmatch import autodiff as ad
 from quadmatch.errors import InvalidInputError
 from quadmatch.graphs import delaunay_adjacency, weighted_adjacency
 from quadmatch.projections import hungarian, sinkhorn
-from quadmatch.refine import (AffinityResult, ParameterSet, gcn_layer,
-                              init_assignment, init_parameters, load_parameters,
-                              node_affinity, refine_pipeline, save_parameters)
+from quadmatch.refine import (ParameterSet, gcn_layer, init_assignment, init_parameters,
+                              load_parameters, node_affinity, refine_pipeline,
+                              save_parameters)
 
 
 def small_graph(rng, n=4, d=3):
@@ -104,15 +104,15 @@ class TestNodeAffinity:
         p_a = rng.normal(size=(4, 3))
         p_b = rng.normal(size=(4, 3))
         res = node_affinity(p_a, p_b, np.zeros((3, 3)))
-        np.testing.assert_allclose(ad.value(res.matrix), np.ones((4, 4)))
-        np.testing.assert_array_equal(ad.value(res.log_matrix), np.zeros((4, 4)))
+        np.testing.assert_allclose(np.exp(res), np.ones((4, 4)))
+        np.testing.assert_array_equal(ad.value(res), np.zeros((4, 4)))
 
     def test_identity_metric_orthonormal(self):
         res = node_affinity(np.eye(2), np.eye(2), np.eye(2))
-        m = ad.value(res.matrix)
+        m = np.exp(res)
         assert np.argmax(m[0]) == 0 and np.argmax(m[1]) == 1
         # the exponent is eye(2), shifted down by its maximum 1
-        np.testing.assert_allclose(ad.value(res.log_matrix), np.eye(2) - 1.0, atol=1e-12)
+        np.testing.assert_allclose(ad.value(res), np.eye(2) - 1.0, atol=1e-12)
         np.testing.assert_allclose(np.log(m), np.eye(2) - 1.0, atol=1e-12)
 
     def test_log_matrix_consistency(self, rng):
@@ -120,10 +120,10 @@ class TestNodeAffinity:
         w = rng.normal(size=(4, 4))
         res = node_affinity(p_a, p_b, w)
         exponent = p_a @ w @ p_b.T
-        np.testing.assert_allclose(ad.value(res.log_matrix) + exponent.max(), exponent,
+        np.testing.assert_allclose(ad.value(res) + exponent.max(), exponent,
                                    atol=1e-12)
-        assert np.all(ad.value(res.matrix) > 0.0)
-        assert ad.value(res.log_matrix).max() == 0.0
+        assert np.all(np.exp(res) > 0.0)
+        assert ad.value(res).max() == 0.0
 
     @pytest.mark.filterwarnings("error")
     def test_nonfinite_exponent_rejected(self, rng):
@@ -137,14 +137,13 @@ class TestNodeAffinity:
         p_a, p_b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
         w = rng.normal(size=(3, 3))
         perm = rng.permutation(5)
-        base = ad.value(node_affinity(p_a, p_b, w).matrix)
-        moved = ad.value(node_affinity(p_a[perm], p_b, w).matrix)
+        base = np.exp(node_affinity(p_a, p_b, w))
+        moved = np.exp(node_affinity(p_a[perm], p_b, w))
         np.testing.assert_allclose(moved, base[perm], rtol=1e-10)
 
 
-def affinity_from_exponent(exponent) -> AffinityResult:
-    log_matrix = exponent - exponent.max()
-    return AffinityResult(np.exp(log_matrix), log_matrix)
+def affinity_from_exponent(exponent):
+    return exponent - exponent.max()
 
 
 class TestInitAssignment:
@@ -161,7 +160,7 @@ class TestInitAssignment:
         p_a, p_b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         res = node_affinity(p_a, p_b, np.eye(3))
         a = ad.value(init_assignment(res))
-        b = ad.value(sinkhorn(np.log(ad.value(res.matrix))).matrix)
+        b = ad.value(sinkhorn(np.log(np.exp(res))).matrix)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -224,13 +223,13 @@ class TestRefineGradients:
 
         def scalar(p: ParameterSet) -> float:
             pa, pb, a_d, b_d = refine_pipeline(attrs_a, attrs_b, adj, adj, p)
-            aff = node_affinity(pa, pb, p.w_aff)
-            return float(ad.asum(readout * aff.matrix) + ad.asum(a_d * b_d))
+            aff = np.exp(node_affinity(pa, pb, p.w_aff))
+            return float(ad.asum(readout * aff) + ad.asum(a_d * b_d))
 
         lifted, leaves = params.lift()
         pa, pb, a_d, b_d = refine_pipeline(attrs_a, attrs_b, adj, adj, lifted)
-        aff = node_affinity(pa, pb, lifted.w_aff)
-        out = ad.asum(readout * aff.matrix) + ad.asum(a_d * b_d)
+        aff = ad.exp(node_affinity(pa, pb, lifted.w_aff))
+        out = ad.asum(readout * aff) + ad.asum(a_d * b_d)
         out.backward()
         grad = np.concatenate([l.grad.ravel() for l in leaves])
 
