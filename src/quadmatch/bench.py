@@ -4,8 +4,10 @@ The report always carries four rows: the full pipeline, the no-QC variant
 (Sinkhorn-projected affinity rounded by Hungarian, no Frank-Wolfe), the
 no-pairwise variant (binary adjacency in the solved objective), and the
 no-prior variant (coordinate columns zeroed out of the node attributes).
-Wall-clock lives only in the JSON form of the report; the CSV form is
-byte-reproducible for fixed seeds.
+Every variant starts from ``refine.forward``, the front end that training
+shares; inference needs nothing from the training module. Wall-clock lives
+only in the JSON form of the report; the CSV form is byte-reproducible for
+fixed seeds.
 """
 
 from __future__ import annotations
@@ -15,15 +17,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError, prefixed
+from .errors import InvalidInputError, NumericalFailureError
 from .files import csv_text, json_text
 from .graphs import Graph, GraphPair, assemble_attributes
 from .losses import accuracy, f1_score, matrix_to_permutation, permutation_to_matrix
 from .projections import hungarian
 from .qap import QapInstance, SolveTrace, frank_wolfe_infer, frank_wolfe_train, objective
-from .refine import ParameterSet
+from .refine import ParameterSet, check_widths, forward
 from .synth import OUTLIER_SIGMA, inject_outliers
-from .train import check_width, forward
 
 ABLATIONS = ("qc", "pairwise", "prior")
 VARIANTS = ("full",) + tuple(f"no_{a}" for a in ABLATIONS)
@@ -109,7 +110,7 @@ def match_pair(pair: GraphPair, params: ParameterSet, variant: str = "full") -> 
         matrix, trace = hungarian(start), SolveTrace()
     else:
         matrix, trace = frank_wolfe_infer(frank_wolfe_train(start, inst), inst)
-    x_star = permutation_to_matrix(pair.gt, pair.b.n)
+    x_star = permutation_to_matrix(pair.gt)
     return MatchResult(
         permutation=matrix_to_permutation(matrix),
         matrix=matrix,
@@ -123,14 +124,12 @@ def match_pair(pair: GraphPair, params: ParameterSet, variant: str = "full") -> 
 def evaluate_pairs(pairs, params: ParameterSet, variant: str = "full") -> VariantResult:
     """Mean metrics of one variant over a dataset; per-pair failures are
     counted and skipped rather than aborting the run. An unknown variant, or
-    a pair whose attribute width the checkpoint does not take, is the
+    a pair whose attribute width the parameters do not take, is the
     caller's error and raises before any pair runs."""
     if not pairs:
         raise InvalidInputError("evaluation requires a non-empty dataset")
     _check_variant(variant)
-    for i, pair in enumerate(pairs):
-        with prefixed(f"pair {i}"):
-            check_width(pair, params)
+    check_widths(pairs, params)
     t0 = time.perf_counter()
     accs, f1s, objs = [], [], []
     failures = 0

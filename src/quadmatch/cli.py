@@ -15,8 +15,9 @@ smooth Frank-Wolfe warm start at m1=3, m2=5, tau=1.0, then at most 10
 discrete rounds of at most 50 Hungarian steps each; the run stops once a
 round's rounding repeats any earlier round's. Exit codes: 0 success, 1
 invalid input or usage, 2 numerical failure. Every output path is checked
-before any input is read, so a run that exits 1 writes no file; a training
-run that exits 2 still writes the history of the epochs it finished.
+before any input is read, and no two output flags may name one file, so a
+run that exits 1 writes no file; a training run that exits 2 still writes
+the history of the epochs it finished.
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ OUTPUT_FLAGS = ("out", "history", "trace", "json")
 
 
 def _check_outputs(args) -> None:
-    """Reject every output path that cannot be written before any input is
-    read, so that a run that exits 1 leaves no file behind."""
+    """Reject every output path that cannot be written, and two output flags
+    that name one file, before any input is read, so that a run that exits 1
+    leaves no file behind and a run that exits 0 loses no output."""
+    flags_by_file = {}
     for flag in OUTPUT_FLAGS:
         path = getattr(args, flag, None)
         if path is None:
@@ -50,6 +53,9 @@ def _check_outputs(args) -> None:
         parent = str(Path(path).parent)
         if not Path(parent).is_dir():
             raise InvalidInputError(f"--{flag} {path!r}: directory {parent!r} does not exist")
+        first = flags_by_file.setdefault(Path(path).resolve(), flag)
+        if first != flag:
+            raise InvalidInputError(f"--{flag} {path!r} names the same file as --{first}")
 
 
 def _load_config(path) -> dict:

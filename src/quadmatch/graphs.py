@@ -71,11 +71,20 @@ class Graph:
 
 @dataclass(frozen=True)
 class GraphPair:
+    """Two graphs of one size and one attribute width, and the ground truth
+    that maps the nodes of ``a`` into ``b``: the square problem the matching
+    pipeline solves."""
+
     a: Graph
     b: Graph
     gt: np.ndarray  # gt[i] = matched node index in b, or -1 for an outlier
 
     def __post_init__(self):
+        (n_a, w_a), (n_b, w_b) = self.a.attributes.shape, self.b.attributes.shape
+        if (n_a, w_a) != (n_b, w_b):
+            raise InvalidInputError(f"graph_a has {n_a} nodes and attributes {w_a} wide, but "
+                                    f"graph_b has {n_b} nodes and attributes {w_b} wide: a pair's "
+                                    "graphs must have the same size and width")
         raw = np.asarray(self.gt)
         # NaN, inf or a float beyond int64 casts to garbage, rejected below
         with np.errstate(invalid="ignore"):

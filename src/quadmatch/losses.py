@@ -92,18 +92,16 @@ def f1_score(x_pred, x_star) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def permutation_to_matrix(perm, n_cols: int) -> np.ndarray:
-    """n x ``n_cols`` 0/1 matrix from a match vector of length n; -1 entries
+def permutation_to_matrix(perm) -> np.ndarray:
+    """Square n x n 0/1 matrix from a match vector of length n; -1 entries
     give all-zero rows."""
     p = np.asarray(perm, dtype=int)
     if p.ndim != 1:
         raise InvalidInputError("permutation vector must be 1-D")
-    if np.any(p >= n_cols) or np.any(p < -1):
+    if np.any(p >= p.size) or np.any(p < -1):
         raise InvalidInputError("permutation index out of range")
-    out = np.zeros((p.shape[0], n_cols))
-    for i, j in enumerate(p):
-        if j >= 0:
-            out[i, j] = 1.0
+    out = np.zeros((p.size, p.size))
+    out[p >= 0, p[p >= 0]] = 1.0
     return out
 
 

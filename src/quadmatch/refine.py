@@ -3,7 +3,9 @@
 Two alternating rounds of graph convolution and adjacency reweighting refine
 the node attributes of both graphs; a bilinear learnable metric between the
 refined attribute sets yields the log of the positive node affinity, whose
-Sinkhorn projection initializes the matching variable.
+Sinkhorn projection initializes the matching variable. ``forward`` composes
+these into the front end that training and inference share; it holds no
+solver, and each side hands its output to its own Frank-Wolfe mode.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InvalidInputError, require_ints
+from .errors import InvalidInputError, prefixed, require_ints
 from .files import float_array, json_text, read_json, write_text
-from .graphs import weighted_adjacency
+from .graphs import GraphPair, weighted_adjacency
 from .projections import sinkhorn
+from .qap import QapInstance
 
 DEFAULT_LAYERS = 2
 
@@ -206,3 +209,40 @@ def init_assignment(log_affinity):
     """Sinkhorn projection of the log affinity, unrolled at a fixed
     iteration count: the solver's smooth start point."""
     return sinkhorn(log_affinity).matrix
+
+
+def check_width(pair: GraphPair, params: ParameterSet) -> None:
+    """Raise ``InvalidInputError`` naming both widths unless the pair's
+    attributes are as wide as the parameters take (a ``GraphPair``'s two
+    graphs have one width)."""
+    width = pair.a.attributes.shape[1]
+    if width != params.dim:
+        raise InvalidInputError(
+            f"attributes are {width} wide ({width - 2} feature columns plus 2 coordinates), "
+            f"but the parameters take attributes {params.dim} wide")
+
+
+def check_widths(pairs, params: ParameterSet) -> None:
+    """``check_width`` on every pair of a dataset, the error naming the pair,
+    so a run rejects a dataset before any pair runs."""
+    for i, pair in enumerate(pairs):
+        with prefixed(f"pair {i}"):
+            check_width(pair, params)
+
+
+def forward(pair: GraphPair, params: ParameterSet) -> tuple[object, QapInstance]:
+    """Refine attributes, build the log affinity, and project it.
+
+    Returns ``(start, instance)``: the Sinkhorn projection of the log
+    affinity, a soft matching (ndarray, or tape ``Var`` under lifted
+    parameters), and the instance over the refined weighted adjacencies
+    whose unary term is the affinity, the one ``exp`` of its log.
+    Training hands both to ``frank_wolfe_train``; ``bench.match_pair`` builds
+    every inference variant on them.
+    """
+    check_width(pair, params)
+    p_a, p_b, a_d, b_d = refine_pipeline(
+        pair.a.attributes, pair.b.attributes, pair.a.adjacency, pair.b.adjacency, params)
+    log_aff = node_affinity(p_a, p_b, params.w_aff)
+    x_u = ad.exp(log_aff)
+    return init_assignment(log_aff), QapInstance(a_d, b_d, x_u)

@@ -1,11 +1,10 @@
-"""The shared front end, and training through it: gradients and the SGD loop.
+"""Training through the shared front end: losses, gradients and the SGD loop.
 
-``forward`` is the front end that training and inference share: attribute
-refinement, node affinity, and the Sinkhorn start. The training map is
-``forward``, then the smooth Frank-Wolfe solve ``frank_wolfe_train``, then
-the loss; every primitive on that path is differentiable, so reverse mode
-through the tape gives exact gradients of the unrolled computation. Sinkhorn
-runs a fixed iteration count so the unrolled function stays smooth.
+The training map is ``refine.forward``, then the smooth Frank-Wolfe solve
+``frank_wolfe_train``, then the loss; every primitive on that path is
+differentiable, so reverse mode through the tape gives exact gradients of
+the unrolled computation. Sinkhorn runs a fixed iteration count so the
+unrolled function stays smooth.
 """
 
 from __future__ import annotations
@@ -21,9 +20,8 @@ from .graphs import GraphPair
 from .losses import (LossConfig, accuracy, cross_entropy_loss, false_matching_loss,
                      permutation_to_matrix)
 from .projections import hungarian
-from .qap import FW_TRAIN_INNER, FW_TRAIN_OUTER, QapInstance, frank_wolfe_train
-from .refine import (DEFAULT_LAYERS, ParameterSet, init_assignment, init_parameters,
-                     node_affinity, refine_pipeline)
+from .qap import FW_TRAIN_INNER, FW_TRAIN_OUTER, frank_wolfe_train
+from .refine import DEFAULT_LAYERS, ParameterSet, check_widths, forward, init_parameters
 
 LOSSES = {"false_matching": false_matching_loss, "cross_entropy": cross_entropy_loss}
 # exponential losses through the unrolled solver spike by orders of magnitude
@@ -77,37 +75,6 @@ class TrainHistory:
                          for e in self.entries))
 
 
-def check_width(pair: GraphPair, params: ParameterSet) -> None:
-    """Raise ``InvalidInputError`` naming both widths unless both graphs'
-    attributes are as wide as the checkpoint takes."""
-    for name, g in (("graph_a", pair.a), ("graph_b", pair.b)):
-        width = g.attributes.shape[1]
-        if width != params.dim:
-            raise InvalidInputError(
-                f"{name} attributes are {width} wide ({width - 2} feature columns plus 2 "
-                f"coordinates), but the checkpoint takes attributes {params.dim} wide")
-
-
-def forward(pair: GraphPair, params: ParameterSet) -> tuple[object, QapInstance]:
-    """Refine attributes, build the log affinity, and project it.
-
-    Returns ``(start, instance)``: the Sinkhorn projection of the log
-    affinity, a soft matching (ndarray, or tape ``Var`` under lifted
-    parameters), and the instance over the refined weighted adjacencies
-    whose unary term is the affinity, the one ``exp`` of its log.
-    Training hands both to ``frank_wolfe_train``; ``bench.match_pair`` builds
-    every inference variant on them.
-    """
-    if pair.a.n != pair.b.n:
-        raise InvalidInputError("forward requires graphs of equal size")
-    check_width(pair, params)
-    p_a, p_b, a_d, b_d = refine_pipeline(
-        pair.a.attributes, pair.b.attributes, pair.a.adjacency, pair.b.adjacency, params)
-    log_aff = node_affinity(p_a, p_b, params.w_aff)
-    x_u = ad.exp(log_aff)
-    return init_assignment(log_aff), QapInstance(a_d, b_d, x_u)
-
-
 def grad_params(pair: GraphPair, params: ParameterSet,
                 cfg: TrainConfig) -> tuple[ParameterSet, float, np.ndarray]:
     """Gradient of the matching loss with respect to every parameter.
@@ -119,7 +86,7 @@ def grad_params(pair: GraphPair, params: ParameterSet,
     assignment). Non-finite values raise NumericalFailureError naming the
     failing stage.
     """
-    x_star = permutation_to_matrix(pair.gt, pair.b.n)
+    x_star = permutation_to_matrix(pair.gt)
     lifted, leaves = params.lift()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x = frank_wolfe_train(*forward(pair, lifted), cfg.m1, cfg.m2, tau=cfg.tau)
@@ -148,8 +115,9 @@ def train(pairs: list[GraphPair], cfg: TrainConfig,
           params: ParameterSet | None = None) -> tuple[ParameterSet, TrainHistory]:
     """Per-pair SGD over a seeded shuffle of the dataset, one pass per epoch.
 
-    A gradient whose norm exceeds ``GRAD_CAP`` is scaled down to that norm
-    before its step.
+    Every pair's attribute width is checked against the parameters before
+    the first step. A gradient whose norm exceeds ``GRAD_CAP`` is scaled
+    down to that norm before its step.
 
     On a numerical failure the partial history is attached to the raised
     error. Identical (dataset, config) inputs give bit-identical histories.
@@ -160,6 +128,7 @@ def train(pairs: list[GraphPair], cfg: TrainConfig,
         dim = pairs[0].a.attributes.shape[1]
         params = init_parameters(dim, n_layers=cfg.n_layers, seed=cfg.seed)
     params.validate()
+    check_widths(pairs, params)
     history = TrainHistory()
     rng = np.random.default_rng(cfg.seed)
     for epoch in range(cfg.epochs):
@@ -172,7 +141,7 @@ def train(pairs: list[GraphPair], cfg: TrainConfig,
             except NumericalFailureError as exc:
                 exc.history = history
                 raise
-            x_star = permutation_to_matrix(pair.gt, pair.b.n)
+            x_star = permutation_to_matrix(pair.gt)
             accs.append(accuracy(hungarian(x_val), x_star))
             losses.append(loss_v)
             gnorm = grads.norm()

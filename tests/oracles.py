@@ -14,7 +14,8 @@ from quadmatch.projections import SINKHORN_MAX_ITER, SinkhornResult
 from quadmatch.qap import (FW_INFER_MAX_INNER, FW_INFER_ROUNDS, QapInstance, SolveTrace,
                            TraceStep, frank_wolfe_train, fw_step_size, objective,
                            objective_gradient)
-from quadmatch.train import LOSSES, TrainConfig, forward
+from quadmatch.refine import forward
+from quadmatch.train import LOSSES, TrainConfig
 
 FD_STEP = 1e-5
 
@@ -232,7 +233,7 @@ def finite_difference_grad(pair, params, cfg: TrainConfig, *, step: float = FD_S
     same triple: (gradients in parameter shape, loss value, forward
     assignment).
     """
-    x_star = permutation_to_matrix(pair.gt, pair.b.n)
+    x_star = permutation_to_matrix(pair.gt)
     loss_f, loss_cfg = LOSSES[cfg.loss], cfg.loss_cfg
 
     def run(flat_vec: np.ndarray) -> np.ndarray:

@@ -384,6 +384,22 @@ def _gt_short(obj):
     obj["gt_permutation"].pop()
 
 
+def _extra_node_b(obj):
+    # a keypoint far from the others, so graph b still triangulates
+    obj["graph_b"]["coords"].append([1234.5, -987.6])
+    obj["graph_b"]["features"].append([0.5] * 4)
+
+
+def _wider_features_b(obj):
+    obj["graph_b"]["features"] = [row + [0.5] for row in obj["graph_b"]["features"]]
+
+
+EXTRA_NODE_B = ("graph_a has 5 nodes and attributes 6 wide, but graph_b has 6 nodes and "
+                "attributes 6 wide: a pair's graphs must have the same size and width\n")
+WIDER_FEATURES_B = ("graph_a has 5 nodes and attributes 6 wide, but graph_b has 5 nodes and "
+                    "attributes 7 wide: a pair's graphs must have the same size and width\n")
+
+
 @pytest.mark.parametrize("edit,fragment", [
     (_fractional_gt, "ground truth entries must be integer"),
     (_gt_below_minus_one, "or -1 for an outlier"),
@@ -398,9 +414,11 @@ def _gt_short(obj):
     (_nan_coordinate, "error: graph_a: keypoint coordinates and features must be finite\n"),
     (_infinite_feature, "error: graph_b: keypoint coordinates and features must be finite\n"),
     (_gt_short, "error: ground truth must have one entry per node of graph a\n"),
+    (_extra_node_b, "error: " + EXTRA_NODE_B),
+    (_wider_features_b, "error: " + WIDER_FEATURES_B),
 ], ids=["fractional_gt", "gt_below_minus_one", "huge_features", "coincident_keypoints",
         "ragged_coords", "text_features", "three_column_coords", "features_row_short",
-        "nan_coordinate", "infinite_feature", "gt_short"])
+        "nan_coordinate", "infinite_feature", "gt_short", "extra_node_b", "wider_features_b"])
 def test_bad_pair_exit_code(tmp_path, capsys, edit, fragment):
     pair_file = tmp_path / "pair.json"
     save_pair(gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3)), str(pair_file))
@@ -409,13 +427,16 @@ def test_bad_pair_exit_code(tmp_path, capsys, edit, fragment):
     pair_file.write_text(json.dumps(obj))
     ckpt = str(tmp_path / "ckpt.json")
     save_parameters(init_parameters(6, n_layers=1, seed=0), ckpt)
+    out, trace = tmp_path / "out.json", tmp_path / "trace.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["match", "--pair", str(pair_file), "--checkpoint", ckpt]) == 1
+        assert main(["match", "--pair", str(pair_file), "--checkpoint", ckpt,
+                     "--out", str(out), "--trace", str(trace)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "RuntimeWarning" not in err
+    assert not out.exists() and not trace.exists()
 
 
 def test_all_outlier_ground_truth_scores_zero(tmp_path, capsys):
@@ -480,7 +501,9 @@ def _repeated_gt(obj):
     (_ragged_graph_b_coords, "error: pair 2: graph_b: coords is not a rectangular array of "
                              "numbers (setting an array element with a sequence."),
     (_repeated_gt, "error: pair 2: ground truth must map distinct nodes into graph b\n"),
-], ids=["ragged_coords", "repeated_gt"])
+    (_extra_node_b, "error: pair 2: " + EXTRA_NODE_B),
+    (_wider_features_b, "error: pair 2: " + WIDER_FEATURES_B),
+], ids=["ragged_coords", "repeated_gt", "extra_node_b", "wider_features_b"])
 def test_bad_dataset_pair_names_the_pair(tmp_path, capsys, command, edit, message):
     data = tmp_path / "data.json"
     pairs = [gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=s)) for s in range(3)]
@@ -497,6 +520,28 @@ def test_bad_dataset_pair_names_the_pair(tmp_path, capsys, command, edit, messag
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_train_checks_every_width_before_the_first_step(tmp_path, capsys, monkeypatch):
+    # pairs 0 and 1 have 4 feature columns, so training starts from
+    # parameters that take attributes 6 wide; pair 2 has 3
+    import quadmatch.train as train_module
+
+    pairs = [gen_synthetic_pair(SynthConfig(n_inliers=5, d=d, classes=5, seed=s))
+             for s, d in enumerate((4, 4, 3))]
+    data = tmp_path / "data.json"
+    save_dataset(pairs, str(data))
+    calls = []
+    grad_params = train_module.grad_params
+    monkeypatch.setattr(train_module, "grad_params",
+                        lambda *args: calls.append(args) or grad_params(*args))
+    ckpt, hist = tmp_path / "ckpt.json", tmp_path / "hist.csv"
+    assert main(["train", "--data", str(data), "--out", str(ckpt), "--history", str(hist)]) == 1
+    assert capsys.readouterr().err == (
+        "error: pair 2: attributes are 5 wide (3 feature columns plus 2 coordinates), "
+        "but the parameters take attributes 6 wide\n")
+    assert calls == []
+    assert not ckpt.exists() and not hist.exists()
 
 
 @pytest.mark.parametrize("argv,data,message", [
@@ -524,8 +569,8 @@ def test_feature_width_mismatch_names_both_widths(tmp_path, capsys, n_layers):
     save_parameters(init_parameters(4, n_layers=n_layers, seed=0), ckpt)
     assert main(["match", "--pair", str(pair_file), "--checkpoint", ckpt]) == 1
     assert capsys.readouterr().err == (
-        "error: graph_a attributes are 6 wide (4 feature columns plus 2 coordinates), "
-        "but the checkpoint takes attributes 4 wide\n")
+        "error: attributes are 6 wide (4 feature columns plus 2 coordinates), "
+        "but the parameters take attributes 4 wide\n")
 
 
 @pytest.mark.parametrize("command", ["eval", "bench-robust"])
@@ -544,8 +589,8 @@ def test_checkpoint_width_mismatch_exit_code(tmp_path, capsys, config_file, comm
     capsys.readouterr()
     assert main(argv + ["--checkpoint", ckpt, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: pair 0: graph_a attributes are 6 wide (4 feature columns plus 2 coordinates), "
-        "but the checkpoint takes attributes 7 wide\n")
+        "error: pair 0: attributes are 6 wide (4 feature columns plus 2 coordinates), "
+        "but the parameters take attributes 7 wide\n")
     assert not out.exists()
 
 
@@ -596,6 +641,22 @@ def test_bad_output_path_writes_nothing(tmp_path, capsys, run_inputs, command, f
         err = capsys.readouterr().err
         assert err.startswith(f"error: --{bad_flag} {bad!r}") and err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", ("out", "history")), ("match", ("out", "trace")), ("eval", ("out", "json"))],
+    ids=["train", "match", "eval"])
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_two_flags_naming_one_file_write_nothing(tmp_path, capsys, run_inputs, command, flags,
+                                                 spelling):
+    first = tmp_path / "x.out"
+    second = first if spelling == "same" else tmp_path / "taken" / ".." / "x.out"
+    outputs = dict(zip(flags, (str(first), str(second))))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(_argv(command, run_inputs, outputs)) == 1
+    assert capsys.readouterr().err == (
+        f"error: --{flags[1]} {str(second)!r} names the same file as --{flags[0]}\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def _relabel_layers(n_layers):

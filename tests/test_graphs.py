@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quadmatch.errors import InvalidInputError
-from quadmatch.graphs import (KERNEL_EPS, KeypointSet, assemble_attributes, build_graph,
-                              delaunay_adjacency, linear_kernel, make_pair,
+from quadmatch.graphs import (KERNEL_EPS, GraphPair, KeypointSet, assemble_attributes,
+                              build_graph, delaunay_adjacency, linear_kernel, make_pair,
                               normalize_coordinates, pair_from_dict, pair_to_dict,
                               weighted_adjacency)
+from quadmatch.synth import SynthConfig, gen_synthetic_pair
 
 
 def brute_force_delaunay(coords):
@@ -266,6 +267,20 @@ class TestPairIO:
         obj["gt_permutation"] = gt
         with pytest.raises(InvalidInputError, match="or -1 for an outlier"):
             pair_from_dict(obj)
+
+    def test_unequal_sizes_rejected(self):
+        a = gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=1))
+        b = gen_synthetic_pair(SynthConfig(n_inliers=6, d=4, classes=6, seed=2))
+        with pytest.raises(InvalidInputError):
+            GraphPair(a.a, b.b, np.arange(5))
+
+    def test_unequal_widths_rejected(self):
+        a = gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=1))
+        b = gen_synthetic_pair(SynthConfig(n_inliers=5, d=5, classes=5, seed=2))
+        with pytest.raises(InvalidInputError, match="^graph_a has 5 nodes and attributes 6 "
+                                                    "wide, but graph_b has 5 nodes and "
+                                                    "attributes 7 wide"):
+            GraphPair(a.a, b.b, np.arange(5))
 
     def test_malformed_dict_rejected(self):
         with pytest.raises(InvalidInputError):

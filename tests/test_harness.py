@@ -13,10 +13,9 @@ from quadmatch.bench import (VARIANTS, evaluate_pairs, match_pair, outlier_sweep
                              run_benchmark, sweep_to_csv)
 from quadmatch.errors import InvalidInputError
 from quadmatch.qap import QapInstance, objective
-from quadmatch.refine import ParameterSet, init_parameters
+from quadmatch.refine import ParameterSet, forward, init_parameters
 from quadmatch.synth import (SynthConfig, ambiguous_config, easy_config,
                              gen_dataset, gen_synthetic_pair, inject_outliers)
-from quadmatch.train import forward
 
 
 @pytest.fixture(scope="module")
@@ -234,10 +233,10 @@ class TestBenchmark:
             evaluate_pairs(pairs, small_params, "ful")
 
     def test_width_mismatch_raises_not_fail_pairs(self, small_params, monkeypatch):
-        # pair 2 has attributes 7 wide; the checkpoint takes 8
+        # pair 2 has attributes 7 wide; the parameters take 8
         pairs = gen_dataset(small_cfg(), 2) + gen_dataset(small_cfg(d=5), 1)
         monkeypatch.setattr(bench, "match_pair", lambda *args: pytest.fail("a pair ran"))
-        with pytest.raises(InvalidInputError, match="^pair 2: graph_a attributes are 7 wide"):
+        with pytest.raises(InvalidInputError, match="^pair 2: attributes are 7 wide"):
             evaluate_pairs(pairs, small_params, "full")
 
     def test_inference_matches_stepwise_oracles(self, monkeypatch):

@@ -1,6 +1,7 @@
 """Import hygiene: every name a module imports is used in that module, only
-``files.py`` opens files or spells a file format, and the package uses three
-scipy names."""
+``files.py`` opens files or spells a file format, the package uses three
+scipy names, and only the command line and the package ``__init__`` import
+the training module."""
 
 import ast
 import re
@@ -16,6 +17,9 @@ FILES = sorted([p for p in PACKAGE if p.name != "__init__.py"]
 FORMAT_CALLS = re.compile(r"\bopen\(|\bjson\.(dump|load)|\bio\.StringIO")
 SCIPY_NAMES = {"scipy.optimize.linear_sum_assignment", "scipy.spatial.Delaunay",
                "scipy.spatial.QhullError"}
+# inference and the front end need nothing from training; these two compose
+# every subcommand or re-export the package's names
+TRAIN_IMPORTERS = {"cli.py", "__init__.py"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -91,3 +95,35 @@ def test_scipy_scan_names_each_import():
     assert scipy_imports(source) == ["scipy", "scipy.sparse",
                                      "scipy.sparse.csgraph.maximum_bipartite_matching",
                                      "scipy.sparse.csgraph.floyd_warshall"]
+
+
+def train_imports(source: str) -> list[int]:
+    """Lines of ``source`` whose import statement loads the package's
+    ``train`` module, in any spelling: ``from .train import x``,
+    ``from . import train``, ``import quadmatch.train`` or
+    ``from quadmatch import train``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name == "quadmatch.train" for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".train", "quadmatch.train") or (
+                    module in (".", "quadmatch") and any(a.name == "train" for a in node.names)):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name not in TRAIN_IMPORTERS],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_the_cli_imports_train(path):
+    assert train_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_train_scan_flags_each_spelling():
+    source = ("from .train import forward\nfrom . import train\nimport quadmatch.train\n"
+              "from quadmatch import train as t\nfrom quadmatch.train import TrainConfig\n"
+              "from .trainer import x\nfrom .refine import train\nfrom . import refine\n"
+              "import quadmatch.training_set\nimport train\n")
+    assert train_imports(source) == [1, 2, 3, 4, 5]

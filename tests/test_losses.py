@@ -169,8 +169,8 @@ class TestMetrics:
         assert accuracy(pred, x_star) == 0.5
 
     def test_outlier_rows_excluded_from_denominator(self):
-        x_star = permutation_to_matrix([1, 0, -1, -1], 4)
-        pred = permutation_to_matrix([1, 0, 3, 2], 4)
+        x_star = permutation_to_matrix([1, 0, -1, -1])
+        pred = permutation_to_matrix([1, 0, 3, 2])
         assert accuracy(pred, x_star) == 1.0
 
     def test_f1_perfect(self):
@@ -182,8 +182,8 @@ class TestMetrics:
 
     def test_f1_hand_value(self):
         # 3 predictions, 2 correct, 4 ground-truth matches -> F1 = 4/7
-        x_star = permutation_to_matrix([0, 1, 2, 3, -1], 5)
-        pred = permutation_to_matrix([0, 1, 4, -1, -1], 5)
+        x_star = permutation_to_matrix([0, 1, 2, 3, -1])
+        pred = permutation_to_matrix([0, 1, 4, -1, -1])
         assert f1_score(pred, x_star) == pytest.approx(4.0 / 7.0)
 
     @given(seed=st.integers(0, 2_000), n=st.integers(2, 10))
@@ -199,10 +199,25 @@ class TestMetrics:
     @pytest.mark.parametrize("vec", [[0, 1, -5], [-2, 0, 1]])
     def test_entry_below_minus_one_rejected(self, vec):
         with pytest.raises(InvalidInputError, match="out of range"):
-            permutation_to_matrix(vec, 3)
+            permutation_to_matrix(vec)
+
+    def test_entry_past_the_last_column_rejected(self):
+        # the matrix is square, so a vector of length 3 names columns 0..2
+        with pytest.raises(InvalidInputError, match="out of range"):
+            permutation_to_matrix([0, 1, 3])
+
+    @given(seed=st.integers(0, 2_000), n=st.integers(0, 8))
+    def test_matches_entrywise_reference(self, seed, n):
+        rng = np.random.default_rng(seed)
+        vec = np.where(rng.uniform(size=n) < 0.3, -1, rng.permutation(n))
+        expected = np.zeros((n, n))
+        for i, j in enumerate(vec):
+            if j >= 0:
+                expected[i, j] = 1.0
+        np.testing.assert_array_equal(permutation_to_matrix(vec), expected)
 
     def test_vector_matrix_roundtrip(self):
         vec = np.array([2, 0, -1, 1])
-        mat = permutation_to_matrix(vec, 4)
+        mat = permutation_to_matrix(vec)
         np.testing.assert_array_equal(matrix_to_permutation(mat), vec)
         assert mat[2].sum() == 0.0

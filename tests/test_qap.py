@@ -17,9 +17,8 @@ from quadmatch.errors import InvalidInputError
 from quadmatch.projections import hungarian, sinkhorn
 from quadmatch.qap import (QapInstance, frank_wolfe_infer, frank_wolfe_train,
                            fw_direction, fw_step_size, objective, objective_gradient)
-from quadmatch.refine import init_parameters
+from quadmatch.refine import forward, init_parameters
 from quadmatch.synth import ambiguous_config, gen_dataset
-from quadmatch.train import forward
 
 
 def random_instance(rng, n, unary_scale=1.0):

@@ -13,11 +13,10 @@ from quadmatch import qap, refine
 from quadmatch.errors import InvalidInputError, NumericalFailureError
 from quadmatch.losses import LossConfig
 from quadmatch.qap import frank_wolfe_train
-from quadmatch.refine import (init_assignment, init_parameters, node_affinity,
+from quadmatch.refine import (forward, init_assignment, init_parameters, node_affinity,
                               refine_pipeline)
 from quadmatch.synth import SynthConfig, easy_config, gen_dataset, gen_synthetic_pair
-from quadmatch.train import (GRAD_CAP, LOSSES, TrainConfig, forward, grad_params, sgd_step,
-                             train)
+from quadmatch.train import GRAD_CAP, LOSSES, TrainConfig, grad_params, sgd_step, train
 
 FIXTURE_CFG = SynthConfig(n_inliers=5, d=4, classes=5, feature_noise=0.2,
                           coord_jitter=0.02, seed=13)
@@ -62,14 +61,6 @@ class TestForward:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="tau"):
                 frank_wolfe_train(*forward(pair, params), tau=tau)
-
-    def test_unequal_sizes_rejected(self, params):
-        a = gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=1))
-        b = gen_synthetic_pair(SynthConfig(n_inliers=6, d=4, classes=6, seed=2))
-        from quadmatch.graphs import GraphPair
-        mismatched = GraphPair(a.a, b.b, np.arange(5))
-        with pytest.raises(InvalidInputError):
-            forward(mismatched, params)
 
 
 class TestGradParams:
