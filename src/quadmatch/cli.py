@@ -15,9 +15,10 @@ smooth Frank-Wolfe warm start at m1=3, m2=5, tau=1.0, then at most 10
 discrete rounds of at most 50 Hungarian steps each; the run stops once a
 round's rounding repeats any earlier round's. Exit codes: 0 success, 1
 invalid input or usage, 2 numerical failure. Every output path is checked
-before any input is read, and no two output flags may name one file, so a
-run that exits 1 writes no file; a training run that exits 2 still writes
-the history of the epochs it finished.
+before any input is read, and an output flag may name neither the file of
+another output flag nor that of an input flag, so a run that exits 1 writes
+no file and no run overwrites its input; a training run that exits 2 still
+writes the history of the epochs it finished.
 """
 
 from __future__ import annotations
@@ -36,14 +37,17 @@ from .synth import OUTLIER_SIGMA, SynthConfig, gen_dataset
 from .train import TrainConfig, train
 
 CONFIG_SECTIONS = ("synth", "train")
+INPUT_FLAGS = ("data", "pair", "checkpoint", "config")
 OUTPUT_FLAGS = ("out", "history", "trace", "json")
 
 
 def _check_outputs(args) -> None:
-    """Reject every output path that cannot be written, and two output flags
-    that name one file, before any input is read, so that a run that exits 1
-    leaves no file behind and a run that exits 0 loses no output."""
-    flags_by_file = {}
+    """Reject every output path that cannot be written, and an output flag
+    that names the file of another output or input flag, before any input is
+    read, so that a run that exits 1 leaves no file behind and a run that
+    exits 0 loses neither an output nor an input."""
+    flags_by_file = {Path(path).resolve(): flag for flag in INPUT_FLAGS
+                     if (path := getattr(args, flag, None)) is not None}
     for flag in OUTPUT_FLAGS:
         path = getattr(args, flag, None)
         if path is None:
@@ -217,7 +221,7 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"numerical failure ({exc.stage}): {exc}", file=sys.stderr)
         return 2
-    # InvalidInputError and json.JSONDecodeError are ValueErrors
+    # InvalidInputError is a ValueError
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,8 +28,13 @@ def json_text(obj) -> str:
 
 
 def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON value in the file at ``path``; a file that is not UTF-8, or
+    not JSON, raises ``InvalidInputError`` naming ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def write_text(path, text: str) -> None:

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete. Criteria pin their tolerances here; nothing is
-deferred to later calibration.
+deferred to later calibration. C7-C9 take their data, seeds and sizes from
+``scripts/experiments.py``, whose runs print the figures printed here.
 """
 
 import itertools
@@ -11,18 +12,16 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
 
+import experiments
 import quadmatch as qm
 from oracles import finite_difference_grad
 from quadmatch import autodiff as ad
-from quadmatch.bench import evaluate_pairs, outlier_sweep
-from quadmatch.errors import NumericalFailureError
+from quadmatch.bench import evaluate_pairs
 from quadmatch.losses import LossConfig
 from quadmatch.projections import hungarian, sinkhorn
 from quadmatch.qap import QapInstance, frank_wolfe_infer, objective, objective_gradient
-from quadmatch.synth import ambiguous_config, easy_config, gen_dataset
-from quadmatch.train import TrainConfig, grad_params, train
+from quadmatch.train import TrainConfig, grad_params
 
 
 @contextmanager
@@ -177,29 +176,18 @@ def test_c07_qc_benefit():
     """Structural constraint beats the affinity-only ablation by >= 10 points."""
     with criterion("C7 QC benefit (>= 10 points on ambiguous class, < 2 min)"):
         start = time.perf_counter()
-        cfg = ambiguous_config(seed=123)
-        pairs = gen_dataset(cfg, 200)
-        params = qm.init_parameters(cfg.d + 2, seed=123)
-        full = evaluate_pairs(pairs, params, "full")
-        noqc = evaluate_pairs(pairs, params, "no_qc")
-        gap = full.mean_accuracy - noqc.mean_accuracy
-        print(f"  full {full.mean_accuracy:.3f} vs no-QC {noqc.mean_accuracy:.3f} "
-              f"(gap {gap:+.3f})", end="")
-        assert gap >= 0.10
+        pairs, params = experiments.qc_ablation_setup()
+        full = evaluate_pairs(pairs, params, "full").mean_accuracy
+        noqc = evaluate_pairs(pairs, params, "no_qc").mean_accuracy
+        print(f"  {experiments.qc_figure(full, noqc)}", end="")
+        assert full - noqc >= 0.10
         assert time.perf_counter() - start < 120.0
 
 
 @pytest.fixture(scope="module")
 def trained_easy_model():
-    """Shared 30-epoch training run at the pinned defaults (criteria 8 and 9)."""
-    train_pairs = gen_dataset(easy_config(seed=11), 36)
-    test_pairs = gen_dataset(easy_config(seed=99), 24)
-    params0 = qm.init_parameters(18, n_layers=2, seed=5)
-    untrained = evaluate_pairs(test_pairs, params0, "full").mean_accuracy
-    cfg = TrainConfig(epochs=30, learning_rate=1e-3, m1=3, m2=5,
-                      loss_cfg=LossConfig(alpha=2.0, beta=0.1), seed=5)
-    params, history = train(train_pairs, cfg, params=params0)
-    return params, history, untrained, test_pairs
+    """The experiments' 30-epoch training run (criteria 8 and 9)."""
+    return experiments.trained_model()
 
 
 def test_c08_training_improves(trained_easy_model):
@@ -209,35 +197,20 @@ def test_c08_training_improves(trained_easy_model):
         params, history, untrained, test_pairs = trained_easy_model
         assert all(np.isfinite(e.mean_loss) for e in history.entries)
         trained = evaluate_pairs(test_pairs, params, "full").mean_accuracy
-        print(f"  held-out {untrained:.3f} -> {trained:.3f}", end="")
-        assert trained > 0.90
-        assert trained > untrained
-
         # stability contrast: unclamped cross entropy on the ambiguous class is
         # permitted to abort with a recorded numerical failure
-        ce_pairs = gen_dataset(ambiguous_config(seed=11), 12)
-        ce_cfg = TrainConfig(epochs=30, learning_rate=1e-3, m1=3, m2=5, seed=5,
-                             loss="cross_entropy",
-                             loss_cfg=LossConfig(alpha=2.0, beta=0.1, clip_eps=1e-300))
-        try:
-            _, ce_history = train(ce_pairs, ce_cfg)
-            outcome = f"completed ({len(ce_history.entries)} epochs)"
-        except NumericalFailureError as exc:
-            done = len(exc.history.entries) if exc.history else 0
-            outcome = f"aborted at stage '{exc.stage}' after {done} epochs"
-        print(f"; unclamped cross entropy {outcome}", end="")
+        ce_outcome, _ = experiments.cross_entropy_contrast()
+        print(f"  {experiments.training_figure(untrained, trained, ce_outcome)}", end="")
+        assert trained > 0.90
+        assert trained > untrained
         assert time.perf_counter() - start < 300.0
 
 
 def test_c09_robustness_sweep_shape(trained_easy_model):
     """Accuracy is non-increasing in the injected outlier count."""
     with criterion("C9 robustness sweep (Spearman rho < 0 over k = 0..4)"):
-        params, _, _, _ = trained_easy_model
-        eval_pairs = gen_dataset(easy_config(seed=2024), 30)
-        rows = outlier_sweep(eval_pairs, params, ks=(0, 1, 2, 3, 4), seed=7)
-        means = [r["mean_accuracy"] for r in rows]
-        rho, _ = spearmanr(range(len(means)), means)
-        print(f"  means {['%.3f' % m for m in means]}, rho {rho:.3f}", end="")
+        rows, rho = experiments.robustness_sweep(trained_easy_model[0])
+        print(f"  {experiments.sweep_figure(rows, rho)}", end="")
         assert rho < 0.0
 
 

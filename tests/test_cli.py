@@ -659,6 +659,43 @@ def test_two_flags_naming_one_file_write_nothing(tmp_path, capsys, run_inputs, c
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command,output,source", [
+    ("synth", "out", "config"), ("train", "out", "data"), ("train", "history", "config"),
+    ("match", "out", "checkpoint"), ("match", "trace", "pair"), ("eval", "out", "checkpoint"),
+    ("eval", "json", "data"), ("bench-robust", "out", "checkpoint")],
+    ids=["synth_out_config", "train_out_data", "train_history_config", "match_out_checkpoint",
+         "match_trace_pair", "eval_out_checkpoint", "eval_json_data",
+         "bench_robust_out_checkpoint"])
+def test_output_naming_an_input_writes_nothing(tmp_path, capsys, run_inputs, command, output,
+                                               source):
+    outputs = {} if command == "match" else {"out": str(tmp_path / "x.out")}
+    # spelled another way than the input flag, so the two compare by resolved path
+    outputs[output] = str(tmp_path / "taken" / ".." / Path(run_inputs[source]).name)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(_argv(command, run_inputs, outputs)) == 1
+    assert capsys.readouterr().err == (
+        f"error: --{output} {outputs[output]!r} names the same file as --{source}\n")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("command,source", [
+    ("train", "config"), ("eval", "data"), ("match", "pair"), ("match", "checkpoint")],
+    ids=["config", "dataset", "pair", "checkpoint"])
+@pytest.mark.parametrize("content,message", [
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b"\xd0\xcf\x11\xe0", "'utf-8' codec can't decode byte 0xd0 in position 0"),
+], ids=["empty", "binary"])
+def test_unreadable_json_names_the_file(tmp_path, capsys, run_inputs, command, source, content,
+                                        message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    outputs = {} if command == "match" else {"out": str(tmp_path / "x.out")}
+    assert main(_argv(command, {**run_inputs, source: str(bad)}, outputs)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "x.out").exists()
+
+
 def _relabel_layers(n_layers):
     return lambda obj: obj.update(n_layers=n_layers)
 
