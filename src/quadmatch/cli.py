@@ -5,11 +5,13 @@ Subcommands:
   train         dataset + config -> checkpoint + history CSV
   match         pair JSON + checkpoint -> permutation and objective
   eval          dataset + checkpoint -> four-variant report CSV (and JSON)
-  bench-robust  outlier sweep -> CSV of accuracy vs outlier count
+  bench-robust  dataset + checkpoint -> CSV of accuracy vs outlier count
 
-Config files feed synth, train and bench-robust. They are JSON with
-optional "synth" and "train" sections mirroring the corresponding dataclass
-fields; any other top-level key is an error.
+synth is the one command that makes data. Config files feed synth and train
+only. They are JSON with optional "synth" and "train" sections mirroring the
+corresponding dataclass fields; any other top-level key is an error.
+bench-robust sweeps the pairs of a dataset file, and its --seed seeds only
+the outlier injection.
 Inference (match, eval, bench-robust) runs at fixed solver settings: a
 smooth Frank-Wolfe warm start at m1=3, m2=5, tau=1.0, then at most 10
 discrete rounds of at most 50 Hungarian steps each; the run stops once a
@@ -152,11 +154,10 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_bench_robust(args) -> None:
-    synth_cfg = _synth_config(_load_config(args.config), args.seed)
+    pairs = load_dataset(args.data)
     params = load_parameters(args.checkpoint)
-    pairs = gen_dataset(synth_cfg, args.n_pairs)
     rows = outlier_sweep(pairs, params, ks=tuple(range(args.kmax + 1)),
-                         outlier_sigma=args.sigma, seed=synth_cfg.seed)
+                         outlier_sigma=args.sigma, seed=args.seed)
     write_text(args.out, sweep_to_csv(rows))
     for r in rows:
         print(f"k={r['k']}: acc {r['mean_accuracy']:.3f}  f1 {r['mean_f1']:.3f}")
@@ -197,14 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="optional report JSON path (includes wall-clock)")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("bench-robust", help="outlier robustness sweep")
-    p.add_argument("--config", help="JSON config with a 'synth' section")
+    p = sub.add_parser("bench-robust", help="outlier robustness sweep over a dataset")
+    p.add_argument("--data", required=True, help="dataset JSON")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--n-pairs", type=int, default=32)
     p.add_argument("--sigma", type=float, default=OUTLIER_SIGMA)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="seed of the outlier injection")
     p.set_defaults(func=_cmd_bench_robust)
 
     return parser

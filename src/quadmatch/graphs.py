@@ -86,9 +86,10 @@ class GraphPair:
                                     f"graph_b has {n_b} nodes and attributes {w_b} wide: a pair's "
                                     "graphs must have the same size and width")
         raw = np.asarray(self.gt)
-        # NaN, inf or a float beyond int64 casts to garbage, rejected below
+        # NaN, inf or a float beyond int64 casts to garbage, rejected below;
+        # a bool is no node index, although numpy casts it to one
         with np.errstate(invalid="ignore"):
-            gt = raw.astype(int) if raw.dtype.kind in "biuf" else None
+            gt = raw.astype(int) if raw.dtype.kind in "iuf" else None
         if gt is None or not np.array_equal(gt, raw):
             raise InvalidInputError("ground truth entries must be integer node indices")
         if gt.shape != (self.a.n,):
@@ -105,7 +106,8 @@ class GraphPair:
 def normalize_coordinates(coords) -> np.ndarray:
     """Affinely map each axis so the keypoint bounding box spans [0, 1].
 
-    A degenerate axis (all values equal) maps to 0.5.
+    A degenerate axis (all values equal) maps to 0.5. Finite coordinates
+    whose range (max - min) overflows a float raise ``InvalidInputError``.
     """
     c = np.asarray(coords, dtype=float)
     if c.ndim != 2 or c.shape[1] != 2 or c.shape[0] < 1:
@@ -113,7 +115,10 @@ def normalize_coordinates(coords) -> np.ndarray:
     if not np.all(np.isfinite(c)):
         raise InvalidInputError("coordinates must be finite")
     lo = c.min(axis=0)
-    span = c.max(axis=0) - lo
+    with np.errstate(over="ignore"):
+        span = c.max(axis=0) - lo
+    if not np.all(np.isfinite(span)):
+        raise InvalidInputError("the coordinates' range overflows a float")
     out = np.empty_like(c)
     for axis in range(2):
         if span[axis] > 0.0:
@@ -246,6 +251,10 @@ def pair_from_dict(obj: dict) -> GraphPair:
         gt = obj["gt_permutation"]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed graph-pair object: {exc}") from exc
+    # numpy would cast a list that mixes booleans and integers to integers
+    if isinstance(gt, list) and any(isinstance(v, bool) for v in gt):
+        raise InvalidInputError("ground truth entries must be integer node indices, "
+                                "not true or false")
     keypoints = []
     for name, coords, features in graphs:
         with prefixed(name):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadmatch import autodiff as ad
-from quadmatch.bench import ABLATIONS, VARIANTS
+from quadmatch.bench import ABLATIONS, VARIANTS, outlier_sweep, sweep_to_csv
 from quadmatch.cli import OUTPUT_FLAGS, build_parser, main
 from quadmatch.errors import NumericalFailureError
 from quadmatch.graphs import load_dataset, save_dataset, save_pair
@@ -90,7 +90,7 @@ CLI_OPTIONS = {
     "train": {"data", "config", "out", "history", "seed"},
     "match": {"pair", "checkpoint", "out", "trace", "ablate"},
     "eval": {"data", "checkpoint", "out", "json"},
-    "bench-robust": {"config", "checkpoint", "out", "kmax", "n_pairs", "sigma", "seed"},
+    "bench-robust": {"data", "checkpoint", "out", "kmax", "sigma", "seed"},
 }
 
 
@@ -155,19 +155,51 @@ def test_bench_robust(tmp_path, config_file):
     main(["synth", "--config", config_file, "--out", data, "--n-pairs", "2"])
     main(["train", "--data", data, "--config", config_file, "--out", ckpt])
     sweep = str(tmp_path / "sweep.csv")
-    assert main(["bench-robust", "--config", config_file, "--checkpoint", ckpt,
-                 "--out", sweep, "--kmax", "1", "--n-pairs", "2"]) == 0
+    assert main(["bench-robust", "--data", data, "--checkpoint", ckpt,
+                 "--out", sweep, "--kmax", "1"]) == 0
     lines = open(sweep).read().splitlines()
     assert lines[0] == "k,mean_accuracy,mean_f1,n_failures"
     assert len(lines) == 3
 
 
+@pytest.fixture
+def sweep_inputs(tmp_path, config_file):
+    """A synthesized 3-pair dataset and an untrained checkpoint."""
+    data, ckpt = str(tmp_path / "data.json"), str(tmp_path / "ckpt.json")
+    assert main(["synth", "--config", config_file, "--out", data, "--n-pairs", "3"]) == 0
+    save_parameters(init_parameters(6, n_layers=1, seed=0), ckpt)
+    return data, ckpt
+
+
+def test_bench_robust_matches_the_library_sweep(tmp_path, sweep_inputs):
+    data, ckpt = sweep_inputs
+    sweep = tmp_path / "sweep.csv"
+    assert main(["bench-robust", "--data", data, "--checkpoint", ckpt, "--out", str(sweep),
+                 "--kmax", "2", "--seed", "7"]) == 0
+    rows = outlier_sweep(load_dataset(data), load_parameters(ckpt), (0, 1, 2), seed=7)
+    assert sweep.read_bytes() == sweep_to_csv(rows).encode()
+
+
+def test_bench_robust_seed_moves_only_the_injection(tmp_path, sweep_inputs):
+    data, ckpt = sweep_inputs
+    lines = []
+    for seed in ("0", "1"):
+        sweep = tmp_path / f"sweep_{seed}.csv"
+        assert main(["bench-robust", "--data", data, "--checkpoint", ckpt, "--out", str(sweep),
+                     "--kmax", "2", "--seed", seed]) == 0
+        lines.append(sweep.read_text().splitlines())
+    # the header and the k = 0 row sweep the clean pairs, which no seed touches
+    assert lines[0][:2] == lines[1][:2]
+    assert all(a != b for a, b in zip(lines[0][2:], lines[1][2:]))
+
+
 def test_bench_robust_negative_kmax(tmp_path, config_file, capsys):
-    ckpt = str(tmp_path / "ckpt.json")
+    data, ckpt = str(tmp_path / "data.json"), str(tmp_path / "ckpt.json")
+    main(["synth", "--config", config_file, "--out", data, "--n-pairs", "2"])
     save_parameters(init_parameters(6, n_layers=1, seed=0), ckpt)
     sweep = tmp_path / "sweep.csv"
-    assert main(["bench-robust", "--config", config_file, "--checkpoint", ckpt,
-                 "--out", str(sweep), "--kmax", "-1", "--n-pairs", "2"]) == 1
+    assert main(["bench-robust", "--data", data, "--checkpoint", ckpt,
+                 "--out", str(sweep), "--kmax", "-1"]) == 1
     assert "error:" in capsys.readouterr().err
     assert not sweep.exists()
 
@@ -198,6 +230,11 @@ def test_identical_runs_byte_identical(tmp_path, config_file):
 
 @pytest.mark.parametrize("argv", [
     [], ["eval"], ["frobnicate"], ["synth", "--out", "d.json", "--n-pairs", "three"],
+    # bench-robust reads its pairs from --data and makes none
+    ["bench-robust", "--data", "d.json", "--checkpoint", "c.json", "--out", "s.csv",
+     "--config", "cfg.json"],
+    ["bench-robust", "--data", "d.json", "--checkpoint", "c.json", "--out", "s.csv",
+     "--n-pairs", "2"],
 ])
 def test_usage_error_exit_code(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -347,6 +384,17 @@ def _gt_below_minus_one(obj):
     obj["gt_permutation"] = [0, 1, 2, 3, -5]
 
 
+def _boolean_gt(obj):
+    # numpy would read this list as [0, 1, 2, 3, 4]
+    obj["gt_permutation"] = [False, True, 2, 3, 4]
+
+
+def _overflowing_coords(obj):
+    # every entry is finite, but max - min on the x axis is not
+    obj["graph_a"]["coords"][0] = [-1e308, 0.0]
+    obj["graph_a"]["coords"][1] = [1e308, 1.0]
+
+
 def _huge_features(obj):
     # squares overflow, so the cosine kernel could not normalize this row
     obj["graph_a"]["features"][0] = [1e160] * 4
@@ -403,6 +451,9 @@ WIDER_FEATURES_B = ("graph_a has 5 nodes and attributes 6 wide, but graph_b has 
 @pytest.mark.parametrize("edit,fragment", [
     (_fractional_gt, "ground truth entries must be integer"),
     (_gt_below_minus_one, "or -1 for an outlier"),
+    (_boolean_gt, "error: ground truth entries must be integer node indices, not true or "
+                  "false\n"),
+    (_overflowing_coords, "error: graph_a: the coordinates' range overflows a float\n"),
     (_huge_features, "feature rows are too large"),
     (_coincident_keypoints, "error: graph_b: keypoint 4 coincides with keypoint 3, "),
     (_ragged_coords, "error: graph_a: coords is not a rectangular array of numbers (setting "
@@ -416,9 +467,10 @@ WIDER_FEATURES_B = ("graph_a has 5 nodes and attributes 6 wide, but graph_b has 
     (_gt_short, "error: ground truth must have one entry per node of graph a\n"),
     (_extra_node_b, "error: " + EXTRA_NODE_B),
     (_wider_features_b, "error: " + WIDER_FEATURES_B),
-], ids=["fractional_gt", "gt_below_minus_one", "huge_features", "coincident_keypoints",
-        "ragged_coords", "text_features", "three_column_coords", "features_row_short",
-        "nan_coordinate", "infinite_feature", "gt_short", "extra_node_b", "wider_features_b"])
+], ids=["fractional_gt", "gt_below_minus_one", "boolean_gt", "overflowing_coords",
+        "huge_features", "coincident_keypoints", "ragged_coords", "text_features",
+        "three_column_coords", "features_row_short", "nan_coordinate", "infinite_feature",
+        "gt_short", "extra_node_b", "wider_features_b"])
 def test_bad_pair_exit_code(tmp_path, capsys, edit, fragment):
     pair_file = tmp_path / "pair.json"
     save_pair(gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3)), str(pair_file))
@@ -547,7 +599,8 @@ def test_train_checks_every_width_before_the_first_step(tmp_path, capsys, monkey
 @pytest.mark.parametrize("argv,data,message", [
     (["synth", "--n-pairs", "0"], None, "n_pairs must be >= 1"),
     (["eval"], '{"pairs": []}', "evaluation requires a non-empty dataset"),
-], ids=["synth_no_pairs", "eval_empty_dataset"])
+    (["bench-robust"], '{"pairs": []}', "evaluation requires a non-empty dataset"),
+], ids=["synth_no_pairs", "eval_empty_dataset", "bench_robust_empty_dataset"])
 def test_empty_request_exit_code(tmp_path, capsys, argv, data, message):
     out = tmp_path / "out"
     if data is not None:
@@ -580,14 +633,10 @@ def test_checkpoint_width_mismatch_exit_code(tmp_path, capsys, config_file, comm
     ckpt = str(tmp_path / "ckpt.json")
     save_parameters(init_parameters(7, n_layers=1, seed=0), ckpt)
     out = tmp_path / "out.csv"
-    if command == "eval":
-        data = str(tmp_path / "data.json")
-        main(["synth", "--config", config_file, "--out", data, "--n-pairs", "2"])
-        argv = ["eval", "--data", data]
-    else:
-        argv = ["bench-robust", "--config", config_file, "--kmax", "1", "--n-pairs", "2"]
+    data = str(tmp_path / "data.json")
+    main(["synth", "--config", config_file, "--out", data, "--n-pairs", "2"])
     capsys.readouterr()
-    assert main(argv + ["--checkpoint", ckpt, "--out", str(out)]) == 1
+    assert main([command, "--data", data, "--checkpoint", ckpt, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: pair 0: attributes are 6 wide (4 feature columns plus 2 coordinates), "
         "but the parameters take attributes 7 wide\n")
@@ -596,11 +645,12 @@ def test_checkpoint_width_mismatch_exit_code(tmp_path, capsys, config_file, comm
 
 @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
 def test_bench_robust_bad_sigma(tmp_path, capsys, config_file, sigma):
-    ckpt = str(tmp_path / "ckpt.json")
+    data, ckpt = str(tmp_path / "data.json"), str(tmp_path / "ckpt.json")
+    main(["synth", "--config", config_file, "--out", data, "--n-pairs", "2"])
     save_parameters(init_parameters(6, n_layers=1, seed=0), ckpt)
     out = tmp_path / "sweep.csv"
-    assert main(["bench-robust", "--config", config_file, "--checkpoint", ckpt, "--out", str(out),
-                 "--kmax", "1", "--n-pairs", "2", "--sigma", sigma]) == 1
+    assert main(["bench-robust", "--data", data, "--checkpoint", ckpt, "--out", str(out),
+                 "--kmax", "1", "--sigma", sigma]) == 1
     assert capsys.readouterr().err == (
         f"error: outlier_sigma must be a finite number >= 0, got {float(sigma)!r}\n")
     assert not out.exists()
@@ -620,10 +670,10 @@ def run_inputs(tmp_path, config_file):
 
 def _argv(command, inputs, outputs):
     flags = {"synth": ("config",), "train": ("data", "config"), "match": ("pair", "checkpoint"),
-             "eval": ("data", "checkpoint"), "bench-robust": ("config", "checkpoint")}[command]
+             "eval": ("data", "checkpoint"), "bench-robust": ("data", "checkpoint")}[command]
     argv = [command] + [arg for flag in flags for arg in (f"--{flag}", inputs[flag])]
     argv += [arg for flag, path in outputs.items() for arg in (f"--{flag}", path)]
-    return argv + (["--n-pairs", "2"] if command in ("synth", "bench-robust") else [])
+    return argv + (["--n-pairs", "2"] if command == "synth" else [])
 
 
 @pytest.mark.parametrize("command,flags", [
@@ -662,10 +712,11 @@ def test_two_flags_naming_one_file_write_nothing(tmp_path, capsys, run_inputs, c
 @pytest.mark.parametrize("command,output,source", [
     ("synth", "out", "config"), ("train", "out", "data"), ("train", "history", "config"),
     ("match", "out", "checkpoint"), ("match", "trace", "pair"), ("eval", "out", "checkpoint"),
-    ("eval", "json", "data"), ("bench-robust", "out", "checkpoint")],
+    ("eval", "json", "data"), ("bench-robust", "out", "checkpoint"),
+    ("bench-robust", "out", "data")],
     ids=["synth_out_config", "train_out_data", "train_history_config", "match_out_checkpoint",
          "match_trace_pair", "eval_out_checkpoint", "eval_json_data",
-         "bench_robust_out_checkpoint"])
+         "bench_robust_out_checkpoint", "bench_robust_out_data"])
 def test_output_naming_an_input_writes_nothing(tmp_path, capsys, run_inputs, command, output,
                                                source):
     outputs = {} if command == "match" else {"out": str(tmp_path / "x.out")}

@@ -1,5 +1,7 @@
 """Graph construction: coordinate normalization, Delaunay topology, kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -64,6 +66,13 @@ class TestNormalizeCoordinates:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInputError):
             normalize_coordinates([(0.0, np.inf), (1.0, 2.0)])
+
+    def test_range_overflow_rejected_without_warning(self):
+        # every entry is finite, but max - min on the x axis is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="^the coordinates' range overflows"):
+                normalize_coordinates([(-1e308, 0.0), (1e308, 1.0), (0.0, 5.0)])
 
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 20))
     def test_idempotent(self, seed, n):
@@ -266,6 +275,22 @@ class TestPairIO:
         obj = pair_to_dict(make_pair(a, b, [0, 1, -1]))
         obj["gt_permutation"] = gt
         with pytest.raises(InvalidInputError, match="or -1 for an outlier"):
+            pair_from_dict(obj)
+
+    def test_boolean_ground_truth_array_rejected(self, rng):
+        # a bool array would cast to the valid [0, 1]
+        a = KeypointSet(rng.uniform(size=(2, 2)), rng.normal(size=(2, 2)))
+        b = KeypointSet(rng.uniform(size=(2, 2)), rng.normal(size=(2, 2)))
+        with pytest.raises(InvalidInputError, match="integer node indices"):
+            make_pair(a, b, np.array([False, True]))
+
+    def test_boolean_ground_truth_entry_rejected(self, rng):
+        # numpy casts a list that mixes booleans and integers to integers
+        a = KeypointSet(rng.uniform(size=(2, 2)), rng.normal(size=(2, 2)))
+        b = KeypointSet(rng.uniform(size=(2, 2)), rng.normal(size=(2, 2)))
+        obj = pair_to_dict(make_pair(a, b, [0, 1]))
+        obj["gt_permutation"] = [False, 1]
+        with pytest.raises(InvalidInputError, match="integer node indices, not true or false"):
             pair_from_dict(obj)
 
     def test_unequal_sizes_rejected(self):

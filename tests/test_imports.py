@@ -1,7 +1,8 @@
 """Import hygiene: every name a module imports is used in that module, only
 ``files.py`` opens files or spells a file format, the package uses three
-scipy names, and only the command line and the package ``__init__`` import
-the training module."""
+scipy names, only the command line and the package ``__init__`` import the
+training module, and only ``__main__`` imports the command line, so
+``import quadmatch`` never loads it."""
 
 import ast
 import re
@@ -20,6 +21,7 @@ SCIPY_NAMES = {"scipy.optimize.linear_sum_assignment", "scipy.spatial.Delaunay",
 # inference and the front end need nothing from training; these two compose
 # every subcommand or re-export the package's names
 TRAIN_IMPORTERS = {"cli.py", "__init__.py"}
+CLI_IMPORTERS = {"__main__.py"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -97,20 +99,20 @@ def test_scipy_scan_names_each_import():
                                      "scipy.sparse.csgraph.floyd_warshall"]
 
 
-def train_imports(source: str) -> list[int]:
-    """Lines of ``source`` whose import statement loads the package's
-    ``train`` module, in any spelling: ``from .train import x``,
+def package_imports(source: str, name: str) -> list[int]:
+    """Lines of ``source`` whose import statement loads the package's module
+    ``name``, in any spelling; for ``train``: ``from .train import x``,
     ``from . import train``, ``import quadmatch.train`` or
     ``from quadmatch import train``."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            if any(a.name == "quadmatch.train" for a in node.names):
+            if any(a.name == f"quadmatch.{name}" for a in node.names):
                 lines.append(node.lineno)
         elif isinstance(node, ast.ImportFrom):
             module = "." * node.level + (node.module or "")
-            if module in (".train", "quadmatch.train") or (
-                    module in (".", "quadmatch") and any(a.name == "train" for a in node.names)):
+            if module in (f".{name}", f"quadmatch.{name}") or (
+                    module in (".", "quadmatch") and any(a.name == name for a in node.names)):
                 lines.append(node.lineno)
     return lines
 
@@ -118,7 +120,15 @@ def train_imports(source: str) -> list[int]:
 @pytest.mark.parametrize("path", [p for p in PACKAGE if p.name not in TRAIN_IMPORTERS],
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_only_the_cli_imports_train(path):
-    assert train_imports(path.read_text(encoding="utf-8")) == []
+    assert package_imports(path.read_text(encoding="utf-8"), "train") == []
+
+
+# the benchmark's set-up runs ``import quadmatch``, so a change to the command
+# line cannot move its set-up time or memory
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name not in CLI_IMPORTERS],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_main_imports_the_cli(path):
+    assert package_imports(path.read_text(encoding="utf-8"), "cli") == []
 
 
 def test_train_scan_flags_each_spelling():
@@ -126,4 +136,4 @@ def test_train_scan_flags_each_spelling():
               "from quadmatch import train as t\nfrom quadmatch.train import TrainConfig\n"
               "from .trainer import x\nfrom .refine import train\nfrom . import refine\n"
               "import quadmatch.training_set\nimport train\n")
-    assert train_imports(source) == [1, 2, 3, 4, 5]
+    assert package_imports(source, "train") == [1, 2, 3, 4, 5]
