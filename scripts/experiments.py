@@ -19,7 +19,7 @@ from pathlib import Path
 
 from scipy.stats import spearmanr
 
-from quadmatch.bench import evaluate_pairs, outlier_sweep, run_benchmark, sweep_to_csv
+from quadmatch.bench import SWEEP_KS, evaluate_pairs, outlier_sweep, run_benchmark, sweep_to_csv
 from quadmatch.errors import NumericalFailureError
 from quadmatch.files import write_text
 from quadmatch.losses import LossConfig
@@ -37,7 +37,7 @@ CE_SEED, CE_PAIRS = 11, 12
 MODEL_SEED, EPOCHS = 5, 30
 # C9
 SWEEP_DATA_SEED, SWEEP_PAIRS = 2024, 30
-SWEEP_SEED, SWEEP_KS = 7, (0, 1, 2, 3, 4)
+SWEEP_SEED = 7
 
 
 def qc_ablation_setup():
@@ -84,7 +84,7 @@ def robustness_sweep(params):
     """C9's sweep of ``params`` over held-out easy pairs. Returns the sweep
     rows and Spearman's rho of mean accuracy against k."""
     pairs = gen_dataset(easy_config(seed=SWEEP_DATA_SEED), SWEEP_PAIRS)
-    rows = outlier_sweep(pairs, params, ks=SWEEP_KS, seed=SWEEP_SEED)
+    rows = outlier_sweep(pairs, params, seed=SWEEP_SEED)
     rho, _ = spearmanr(SWEEP_KS, [r["mean_accuracy"] for r in rows])
     return rows, rho
 

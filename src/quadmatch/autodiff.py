@@ -191,7 +191,11 @@ def log(a):
 
 
 def sqrt(a):
-    return _unary(np.sqrt, a, lambda g, av, out: g * 0.5 / out)
+    # the derivative is infinite at 0; pass back 0 there, so that a row whose
+    # squared norm is 0 (a rectified or underflowed one) gives a zero
+    # gradient instead of 0 * inf
+    return _unary(np.sqrt, a, lambda g, av, out: np.divide(g * 0.5, out, out=np.zeros_like(out),
+                                                           where=out != 0.0))
 
 
 def relu(a):

@@ -10,8 +10,9 @@ Subcommands:
 synth is the one command that makes data. Config files feed synth and train
 only. They are JSON with optional "synth" and "train" sections mirroring the
 corresponding dataclass fields; any other top-level key is an error.
-bench-robust sweeps the pairs of a dataset file, and its --seed seeds only
-the outlier injection.
+bench-robust sweeps the pairs of a dataset file at k = 0-4 injected outliers
+per graph, drawn at sigma = 10 (bench.SWEEP_KS, synth.OUTLIER_SIGMA); its
+--seed seeds only the outlier injection.
 Inference (match, eval, bench-robust) runs at fixed solver settings: a
 smooth Frank-Wolfe warm start at m1=3, m2=5, tau=1.0, then at most 10
 discrete rounds of at most 50 Hungarian steps each; the run stops once a
@@ -35,7 +36,7 @@ from .files import json_text, read_json, write_text
 from .graphs import load_dataset, load_pair, save_dataset
 from .losses import LossConfig
 from .refine import load_parameters, save_parameters
-from .synth import OUTLIER_SIGMA, SynthConfig, gen_dataset
+from .synth import SynthConfig, gen_dataset
 from .train import TrainConfig, train
 
 CONFIG_SECTIONS = ("synth", "train")
@@ -156,8 +157,7 @@ def _cmd_eval(args) -> None:
 def _cmd_bench_robust(args) -> None:
     pairs = load_dataset(args.data)
     params = load_parameters(args.checkpoint)
-    rows = outlier_sweep(pairs, params, ks=tuple(range(args.kmax + 1)),
-                         outlier_sigma=args.sigma, seed=args.seed)
+    rows = outlier_sweep(pairs, params, seed=args.seed)
     write_text(args.out, sweep_to_csv(rows))
     for r in rows:
         print(f"k={r['k']}: acc {r['mean_accuracy']:.3f}  f1 {r['mean_f1']:.3f}")
@@ -202,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset JSON")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="sweep CSV path")
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--sigma", type=float, default=OUTLIER_SIGMA)
     p.add_argument("--seed", type=int, default=0, help="seed of the outlier injection")
     p.set_defaults(func=_cmd_bench_robust)
 

@@ -85,6 +85,11 @@ class GraphPair:
             raise InvalidInputError(f"graph_a has {n_a} nodes and attributes {w_a} wide, but "
                                     f"graph_b has {n_b} nodes and attributes {w_b} wide: a pair's "
                                     "graphs must have the same size and width")
+        # numpy would cast a sequence that mixes booleans and integers to integers
+        if isinstance(self.gt, (list, tuple)) and any(isinstance(v, (bool, np.bool_))
+                                                      for v in self.gt):
+            raise InvalidInputError("ground truth entries must be integer node indices, "
+                                    "not true or false")
         raw = np.asarray(self.gt)
         # NaN, inf or a float beyond int64 casts to garbage, rejected below;
         # a bool is no node index, although numpy casts it to one
@@ -251,10 +256,6 @@ def pair_from_dict(obj: dict) -> GraphPair:
         gt = obj["gt_permutation"]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed graph-pair object: {exc}") from exc
-    # numpy would cast a list that mixes booleans and integers to integers
-    if isinstance(gt, list) and any(isinstance(v, bool) for v in gt):
-        raise InvalidInputError("ground truth entries must be integer node indices, "
-                                "not true or false")
     keypoints = []
     for name, coords, features in graphs:
         with prefixed(name):

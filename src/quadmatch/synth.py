@@ -14,7 +14,6 @@ far-off detections would.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,24 +83,21 @@ def gen_synthetic_pair(cfg: SynthConfig, rng: np.random.Generator | None = None)
     return pair
 
 
-def inject_outliers(pair: GraphPair, k: int, outlier_sigma: float = OUTLIER_SIGMA, *,
-                    rng: np.random.Generator) -> GraphPair:
+def inject_outliers(pair: GraphPair, k: int, *, rng: np.random.Generator) -> GraphPair:
     """Append k unmatched nodes to each graph and recompute the topology.
 
-    Outlier coordinates are N(0, sigma^2) in raw coordinate units, features
-    standard normal, all drawn from ``rng``; inlier ground truth is
+    Outlier coordinates are N(0, OUTLIER_SIGMA^2) in raw coordinate units,
+    features standard normal, all drawn from ``rng``; inlier ground truth is
     untouched (new rows get -1).
     """
     if k < 0:
         raise InvalidInputError("outlier count must be >= 0")
-    if not 0 <= outlier_sigma < math.inf:
-        raise InvalidInputError(f"outlier_sigma must be a finite number >= 0, got {outlier_sigma!r}")
     if k == 0:
         return pair
     d = pair.a.keypoints.features.shape[1]
 
     def extend(kp: KeypointSet) -> KeypointSet:
-        coords = np.vstack([kp.coords, rng.normal(0.0, outlier_sigma, size=(k, 2))])
+        coords = np.vstack([kp.coords, rng.normal(0.0, OUTLIER_SIGMA, size=(k, 2))])
         features = np.vstack([kp.features, rng.normal(size=(k, d))])
         return KeypointSet(coords, features)
 

@@ -144,7 +144,14 @@ def train(pairs: list[GraphPair], cfg: TrainConfig,
             x_star = permutation_to_matrix(pair.gt)
             accs.append(accuracy(hungarian(x_val), x_star))
             losses.append(loss_v)
-            gnorm = grads.norm()
+            with np.errstate(over="ignore"):
+                gnorm = grads.norm()
+            if not np.isfinite(gnorm):
+                # the gradient is finite (grad_params checks it), but its
+                # squared norm overflowed: scale by its largest entry first
+                flat = grads.flatten()
+                m = np.max(np.abs(flat))
+                gnorm = m * float(np.linalg.norm(flat / m))
             if gnorm > GRAD_CAP:
                 grads = grads.replace_flat(grads.flatten() * (GRAD_CAP / gnorm))
             params = sgd_step(params, grads, cfg.learning_rate)

@@ -162,3 +162,11 @@ def test_deep_chain_no_recursion_limit():
     out = ad.asum(x)
     out.backward()
     assert np.all(np.isfinite(v.grad))
+
+
+def test_sqrt_passes_back_zero_where_it_is_zero():
+    # the derivative is infinite at 0; a zero there keeps 0 * inf out of a
+    # zero-norm row's gradient
+    v = ad.Var(np.array([0.0, 4.0]))
+    ad.asum(ad.sqrt(v)).backward()
+    np.testing.assert_array_equal(v.grad, [0.0, 0.25])

@@ -293,6 +293,15 @@ class TestPairIO:
         with pytest.raises(InvalidInputError, match="integer node indices, not true or false"):
             pair_from_dict(obj)
 
+    @pytest.mark.parametrize("gt", [[True, False, 2, 3], (True, 0, 2, 3), [0, 1, 2, np.True_]],
+                             ids=["list", "tuple", "numpy_bool"])
+    def test_boolean_ground_truth_sequence_rejected(self, rng, gt):
+        # every path builds a GraphPair, so the Python API rejects it as JSON input does
+        a = KeypointSet(rng.uniform(size=(4, 2)), rng.normal(size=(4, 2)))
+        b = KeypointSet(rng.uniform(size=(4, 2)), rng.normal(size=(4, 2)))
+        with pytest.raises(InvalidInputError, match="integer node indices, not true or false"):
+            make_pair(a, b, gt)
+
     def test_unequal_sizes_rejected(self):
         a = gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=1))
         b = gen_synthetic_pair(SynthConfig(n_inliers=6, d=4, classes=6, seed=2))

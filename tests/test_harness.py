@@ -103,16 +103,9 @@ class TestInjectOutliers:
 
     def test_sigma_scale(self):
         pair = gen_synthetic_pair(small_cfg())
-        noisy = inject_outliers(pair, 50, outlier_sigma=10.0, rng=np.random.default_rng(0))
+        noisy = inject_outliers(pair, 50, rng=np.random.default_rng(0))
         spread = np.abs(noisy.a.keypoints.coords[6:]).max()
         assert spread > 5.0  # far outside the unit frame
-
-    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("k", [0, 2])
-    def test_bad_sigma_rejected(self, sigma, k):
-        pair = gen_synthetic_pair(small_cfg())
-        with pytest.raises(InvalidInputError, match="outlier_sigma must be a finite number >= 0"):
-            inject_outliers(pair, k, sigma, rng=np.random.default_rng(0))
 
     def test_rng_is_required(self):
         with pytest.raises(TypeError):
@@ -282,24 +275,22 @@ class TestBenchmark:
 class TestOutlierSweep:
     def test_sweep_rows_and_csv(self, small_params):
         pairs = gen_dataset(small_cfg(), 2)
-        rows = outlier_sweep(pairs, small_params, ks=(0, 1), seed=7)
-        assert [r["k"] for r in rows] == [0, 1]
+        rows = outlier_sweep(pairs, small_params, seed=7)
+        assert [r["k"] for r in rows] == [0, 1, 2, 3, 4]
         csv = sweep_to_csv(rows)
         assert csv.splitlines()[0] == "k,mean_accuracy,mean_f1,n_failures"
-        assert len(csv.splitlines()) == 3
+        assert len(csv.splitlines()) == 6
 
     def test_sweep_deterministic(self, small_params):
         pairs = gen_dataset(small_cfg(), 2)
-        a = outlier_sweep(pairs, small_params, ks=(0, 2), seed=7)
-        b = outlier_sweep(pairs, small_params, ks=(0, 2), seed=7)
+        a = outlier_sweep(pairs, small_params, seed=7)
+        b = outlier_sweep(pairs, small_params, seed=7)
+        assert [r["k"] for r in a] == [0, 1, 2, 3, 4]
         assert sweep_to_csv(a) == sweep_to_csv(b)
-
-    def test_empty_ks_rejected(self, small_params):
-        with pytest.raises(InvalidInputError, match="outlier count"):
-            outlier_sweep(gen_dataset(small_cfg(), 1), small_params, ks=())
 
     def test_k_zero_matches_plain_eval(self, small_params):
         pairs = gen_dataset(small_cfg(), 2)
-        rows = outlier_sweep(pairs, small_params, ks=(0,), seed=7)
+        rows = outlier_sweep(pairs, small_params, seed=7)
         direct = evaluate_pairs(pairs, small_params, "full")
+        assert [r["k"] for r in rows] == [0, 1, 2, 3, 4]
         assert rows[0]["mean_accuracy"] == direct.mean_accuracy

@@ -11,6 +11,7 @@ from oracles import finite_difference_grad, unrolled_sinkhorn
 from quadmatch import autodiff as ad
 from quadmatch import qap, refine
 from quadmatch.errors import InvalidInputError, NumericalFailureError
+from quadmatch.graphs import KeypointSet, make_pair
 from quadmatch.losses import LossConfig
 from quadmatch.qap import frank_wolfe_train
 from quadmatch.refine import (forward, init_assignment, init_parameters, node_affinity,
@@ -128,8 +129,9 @@ class TestGradParams:
 
     @pytest.mark.parametrize("loss,stage", [
         (lambda x, x_star, cfg: ad.asum(ad.log(x * 0.0)), "loss"),
-        # the loss is 0, but d sqrt(u)/du at u = 0 is inf, times 0 is NaN
-        (lambda x, x_star, cfg: ad.asum(ad.sqrt(x * 0.0)), "parameter_gradient"),
+        # the loss is finite, but d(1/u)/du at u = 1e-300 overflows to -inf,
+        # and times 0 it is NaN
+        (lambda x, x_star, cfg: ad.asum(ad.div(1.0, x * 0.0 + 1e-300)), "parameter_gradient"),
     ], ids=["loss", "parameter_gradient"])
     def test_non_finite_stage_is_named(self, pair, params, monkeypatch, loss, stage):
         monkeypatch.setitem(LOSSES, "cross_entropy", loss)
@@ -223,6 +225,38 @@ class TestTrainLoop:
         step = np.linalg.norm(trained.flatten() - params.flatten())
         np.testing.assert_allclose(step, cfg.learning_rate * min(grads.norm(), GRAD_CAP),
                                    rtol=1e-12)
+
+    def test_zero_features_train(self):
+        # every attribute row of the GCN's input is its coordinates alone, and
+        # some refined rows rectify to zero, where the kernel's norm has an
+        # infinite derivative
+        pairs = _with_features(gen_dataset(easy_config(seed=3, n_inliers=5, d=4, classes=5), 2),
+                               0.0)
+        _, history = train(pairs, TrainConfig(epochs=1, seed=3))
+        assert np.isfinite(history.entries[0].mean_loss)
+
+    def test_overflowing_gradient_norm_is_capped(self):
+        # constant features of 1e100 give a finite gradient whose squared
+        # norm overflows; the step is still capped to GRAD_CAP, not zeroed
+        pairs = _with_features(gen_dataset(easy_config(seed=0, n_inliers=5, d=4, classes=5), 1),
+                               1e100)
+        params = init_parameters(6, seed=0)
+        cfg = TrainConfig(epochs=1)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(grad_params(pairs[0], params, cfg)[0].norm())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trained, _ = train(pairs, cfg, params)
+        step = np.linalg.norm(trained.flatten() - params.flatten())
+        np.testing.assert_allclose(step, cfg.learning_rate * GRAD_CAP, rtol=1e-12)
+
+
+def _with_features(pairs, fill):
+    """The pairs with every feature entry set to ``fill``."""
+    def keypoints(g):
+        return KeypointSet(g.keypoints.coords, np.full_like(g.keypoints.features, fill))
+
+    return [make_pair(keypoints(p.a), keypoints(p.b), p.gt) for p in pairs]
 
 
 class TestConfigValidation:
