@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError, require_seed
 from .files import csv_text, json_text
 from .graphs import Graph, GraphPair, assemble_attributes
 from .losses import accuracy, f1_score, matrix_to_permutation, permutation_to_matrix
@@ -81,8 +81,7 @@ def _strip_prior(pair: GraphPair) -> GraphPair:
     GCN see exactly what they would with the columns dropped.
     """
     def strip(g: Graph) -> Graph:
-        attrs = assemble_attributes(g.keypoints.features, np.zeros_like(g.coords_norm))
-        return replace(g, attributes=attrs)
+        return replace(g, attributes=assemble_attributes(g.keypoints.features, np.zeros((g.n, 2))))
 
     return GraphPair(strip(pair.a), strip(pair.b), pair.gt)
 
@@ -162,8 +161,10 @@ def outlier_sweep(pairs, params: ParameterSet, *, seed: int = 0) -> list[dict]:
     injected into each graph.
 
     Each sweep point re-injects into the clean pairs with a seed derived
-    from the sweep seed and k alone, so the whole curve is reproducible.
+    from the sweep seed (an integer >= 0) and k alone, so the whole curve is
+    reproducible.
     """
+    require_seed(seed)
     rows = []
     for k in SWEEP_KS:
         child_seeds = np.random.SeedSequence((seed, k)).spawn(len(pairs))

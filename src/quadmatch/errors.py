@@ -42,6 +42,14 @@ def require_reals(obj, names) -> None:
             raise InvalidInputError(f"{name} must be a real number, got {v!r}")
 
 
+def require_seed(seed) -> None:
+    """Raise ``InvalidInputError`` naming ``seed`` unless it is >= 0; numpy's
+    own error for a negative seed, "expected non-negative integer", names
+    nothing."""
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+
+
 @contextmanager
 def prefixed(prefix: str):
     """Re-raise an ``InvalidInputError`` from the block with ``prefix: ``

@@ -60,8 +60,7 @@ class Graph:
     """A keypoint set with its derived attributes and Delaunay topology."""
 
     keypoints: KeypointSet
-    coords_norm: np.ndarray
-    attributes: np.ndarray
+    attributes: np.ndarray  # features, then the normalized (x, y) as the last two columns
     adjacency: np.ndarray
 
     @property
@@ -227,7 +226,7 @@ def build_graph(keypoints: KeypointSet) -> Graph:
     """Normalize coordinates, triangulate, and assemble node attributes."""
     coords_norm = normalize_coordinates(keypoints.coords)
     attributes = assemble_attributes(keypoints.features, coords_norm)
-    return Graph(keypoints, coords_norm, attributes, delaunay_adjacency(coords_norm))
+    return Graph(keypoints, attributes, delaunay_adjacency(coords_norm))
 
 
 def make_pair(a: KeypointSet, b: KeypointSet, gt) -> GraphPair:

@@ -100,7 +100,7 @@ def fw_step_size(k: int) -> float:
     return 2.0 / (k + 2)
 
 
-def fw_direction(x, inst: QapInstance, *, tau: float = 1.0):
+def fw_direction(x, inst: QapInstance, *, tau: float):
     """Smooth descent target for the linearized objective.
 
     The Sinkhorn projection of ``exp(-grad / tau)`` at a fixed iteration

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InvalidInputError, prefixed, require_ints
+from .errors import InvalidInputError, prefixed, require_ints, require_seed
 from .files import float_array, json_text, read_json, write_text
 from .graphs import GraphPair, weighted_adjacency
 from .projections import sinkhorn
@@ -31,12 +31,12 @@ class ParameterSet:
 
     ``w_r[l]`` mixes neighbor attributes, ``w_s[l]`` the node's own; both are
     square in the attribute dimension, as is ``w_aff``. ``seed`` records the
-    RNG seed used at initialization; sets derived through ``replace_flat``,
-    gradients included, carry the seed of the set they were derived from.
-    The checkpoint names and the flat layout are the order of ``names``,
-    spelled there only; every derived set is rebuilt from a mapping of those
-    names by ``from_tensors``, and gradients and SGD updates go through
-    ``flatten`` and ``replace_flat``.
+    RNG seed used at initialization; sets derived through ``replace_flat``
+    carry the seed of the set they were derived from. The checkpoint names
+    and the flat layout are the order of ``names``, spelled there only;
+    every derived set is rebuilt from a mapping of those names by
+    ``from_tensors``. Gradients are flat vectors in ``flatten`` order, and
+    an SGD update goes back through ``replace_flat``.
     """
 
     w_r: tuple
@@ -73,15 +73,16 @@ class ParameterSet:
         return np.concatenate([ad.value(t).ravel() for t in self.tensors().values()])
 
     def replace_flat(self, flat: np.ndarray) -> "ParameterSet":
-        """New set with the same shapes filled from a flat vector."""
+        """New set with the same shapes filled from a flat vector of
+        ``flatten``'s length; another length raises ``InvalidInputError``
+        naming both."""
         flat = np.asarray(flat, dtype=float)
-        out, pos = {}, 0
-        for name, t in self.tensors().items():
-            ref = ad.value(t)
-            out[name] = flat[pos:pos + ref.size].reshape(ref.shape)
-            pos += ref.size
-        if pos != flat.size:
-            raise InvalidInputError("flat parameter vector has the wrong length")
+        refs = {name: ad.value(t) for name, t in self.tensors().items()}
+        ends = np.cumsum([ref.size for ref in refs.values()])
+        if flat.shape != (ends[-1],):
+            raise InvalidInputError(f"parameter vector has {flat.size} entries, not {ends[-1]}")
+        parts = np.split(flat, ends[:-1])
+        out = {name: part.reshape(ref.shape) for (name, ref), part in zip(refs.items(), parts)}
         return ParameterSet.from_tensors(out, self.n_layers, seed=self.seed)
 
     def lift(self) -> tuple["ParameterSet", list]:
@@ -116,6 +117,7 @@ def init_parameters(dim: int, n_layers: int = DEFAULT_LAYERS, seed: int = 0) -> 
     """
     if dim < 1 or n_layers < 0:
         raise InvalidInputError("dim must be >= 1 and n_layers >= 0")
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     s = 1.0 / np.sqrt(dim)
     w_r, w_s = [], []

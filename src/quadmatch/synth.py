@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, require_ints, require_reals
+from .errors import InvalidInputError, require_ints, require_reals, require_seed
 from .graphs import GraphPair, KeypointSet, make_pair
 
 OUTLIER_SIGMA = 10.0
@@ -53,12 +53,12 @@ class SynthConfig:
             raise InvalidInputError("noise scales must be non-negative")
         if self.n_outliers < 0:
             raise InvalidInputError("n_outliers must be >= 0")
+        require_seed(self.seed)
 
 
-def gen_synthetic_pair(cfg: SynthConfig, rng: np.random.Generator | None = None) -> GraphPair:
-    """One ground-truthed pair; all randomness comes from ``rng`` (or cfg.seed)."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+def gen_synthetic_pair(cfg: SynthConfig, *, rng: np.random.Generator) -> GraphPair:
+    """One ground-truthed pair; all randomness comes from ``rng``, and
+    ``cfg.seed`` is not read (``gen_dataset`` seeds each pair from it)."""
     n, d = cfg.n_inliers, cfg.d
     class_of = np.arange(n) % cfg.classes
 

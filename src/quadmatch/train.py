@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InvalidInputError, NumericalFailureError, require_ints, require_reals
+from .errors import (InvalidInputError, NumericalFailureError, require_ints, require_reals,
+                     require_seed)
 from .files import csv_text
 from .graphs import GraphPair
 from .losses import (LossConfig, accuracy, cross_entropy_loss, false_matching_loss,
@@ -47,6 +48,7 @@ class TrainConfig:
         require_reals(self, ("learning_rate", "tau"))
         if self.epochs < 1:
             raise InvalidInputError("epochs must be >= 1")
+        require_seed(self.seed)
         if self.learning_rate <= 0:
             raise InvalidInputError("learning_rate must be positive")
         if self.m1 < 0 or self.m2 < 0:
@@ -76,13 +78,13 @@ class TrainHistory:
 
 
 def grad_params(pair: GraphPair, params: ParameterSet,
-                cfg: TrainConfig) -> tuple[ParameterSet, float, np.ndarray]:
+                cfg: TrainConfig) -> tuple[np.ndarray, float, np.ndarray]:
     """Gradient of the matching loss with respect to every parameter.
 
     The loss, its ``loss_cfg`` and the solver's ``m1``, ``m2`` and ``tau``
     come from ``cfg``. Reverse mode differentiates the unrolled computation,
-    ``forward`` then ``frank_wolfe_train``, exactly. Returns (gradients in
-    parameter shape, carrying ``params.seed``; loss value; the solved
+    ``forward`` then ``frank_wolfe_train``, exactly. Returns (the flat
+    gradient, in ``params.flatten()`` order; loss value; the solved
     assignment). Non-finite values raise NumericalFailureError naming the
     failing stage.
     """
@@ -98,17 +100,17 @@ def grad_params(pair: GraphPair, params: ParameterSet,
     flat = np.concatenate([leaf.grad.ravel() for leaf in leaves])
     if not np.all(np.isfinite(flat)):
         raise NumericalFailureError("parameter gradient is not finite", stage="parameter_gradient")
-    return params.replace_flat(flat), float(ad.value(loss_v)), x_val
+    return flat, float(ad.value(loss_v)), x_val
 
 
-def sgd_step(params: ParameterSet, grads: ParameterSet, lr: float) -> ParameterSet:
-    """Plain gradient step; returns a new parameter set."""
-    if params.n_layers != grads.n_layers:
-        raise InvalidInputError("parameter and gradient layer counts differ")
-    for (name, p), (_, g) in zip(params.tensors().items(), grads.tensors().items()):
-        if ad.value(p).shape != ad.value(g).shape:
-            raise InvalidInputError(f"gradient shape mismatch for {name}")
-    return params.replace_flat(params.flatten() - lr * grads.flatten())
+def sgd_step(params: ParameterSet, grad: np.ndarray, lr: float) -> ParameterSet:
+    """Plain gradient step along a flat gradient in ``params.flatten()``
+    order; returns a new parameter set. A gradient of another length raises
+    ``InvalidInputError`` naming both, before numpy could broadcast it."""
+    theta = params.flatten()
+    if np.shape(grad) != theta.shape:
+        raise InvalidInputError(f"gradient has {np.size(grad)} entries, not {theta.size}")
+    return params.replace_flat(theta - lr * grad)
 
 
 def train(pairs: list[GraphPair], cfg: TrainConfig,
@@ -132,29 +134,26 @@ def train(pairs: list[GraphPair], cfg: TrainConfig,
     history = TrainHistory()
     rng = np.random.default_rng(cfg.seed)
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(pairs))
         losses, accs = [], []
-        for idx in order:
+        for idx in rng.permutation(len(pairs)):
             pair = pairs[idx]
             try:
-                grads, loss_v, x_val = grad_params(pair, params, cfg)
+                grad, loss_v, x_val = grad_params(pair, params, cfg)
             except NumericalFailureError as exc:
                 exc.history = history
                 raise
-            x_star = permutation_to_matrix(pair.gt)
-            accs.append(accuracy(hungarian(x_val), x_star))
+            accs.append(accuracy(hungarian(x_val), permutation_to_matrix(pair.gt)))
             losses.append(loss_v)
             with np.errstate(over="ignore"):
-                gnorm = grads.norm()
+                gnorm = float(np.linalg.norm(grad))
             if not np.isfinite(gnorm):
                 # the gradient is finite (grad_params checks it), but its
                 # squared norm overflowed: scale by its largest entry first
-                flat = grads.flatten()
-                m = np.max(np.abs(flat))
-                gnorm = m * float(np.linalg.norm(flat / m))
+                m = np.max(np.abs(grad))
+                gnorm = m * float(np.linalg.norm(grad / m))
             if gnorm > GRAD_CAP:
-                grads = grads.replace_flat(grads.flatten() * (GRAD_CAP / gnorm))
-            params = sgd_step(params, grads, cfg.learning_rate)
+                grad = grad * (GRAD_CAP / gnorm)
+            params = sgd_step(params, grad, cfg.learning_rate)
         history.entries.append(EpochStats(epoch, float(np.mean(losses)),
                                           float(np.mean(accs)), params.norm()))
     return params, history

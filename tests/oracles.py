@@ -230,8 +230,8 @@ def finite_difference_grad(pair, params, cfg: TrainConfig, *, step: float = FD_S
 
     Evaluates the same forward map and loss as ``train.grad_params`` at the
     settings of ``cfg``, two forward passes per parameter, and returns the
-    same triple: (gradients in parameter shape, loss value, forward
-    assignment).
+    same triple: (the flat gradient, in ``params.flatten()`` order, loss
+    value, forward assignment).
     """
     x_star = permutation_to_matrix(pair.gt)
     loss_f, loss_cfg = LOSSES[cfg.loss], cfg.loss_cfg
@@ -249,7 +249,7 @@ def finite_difference_grad(pair, params, cfg: TrainConfig, *, step: float = FD_S
         up = float(loss_f(run(theta + bump), x_star, loss_cfg))
         down = float(loss_f(run(theta - bump), x_star, loss_cfg))
         grad_flat[i] = (up - down) / (2 * step)
-    return params.replace_flat(grad_flat), float(loss_f(x_val, x_star, loss_cfg)), x_val
+    return grad_flat, float(loss_f(x_val, x_star, loss_cfg)), x_val
 
 
 def false_matching_loss_grad(x, x_star, cfg: LossConfig = LossConfig()) -> np.ndarray:

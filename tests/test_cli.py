@@ -21,6 +21,12 @@ from quadmatch.synth import SynthConfig, gen_synthetic_pair
 from quadmatch.train import LOSSES, TrainConfig, train
 
 
+def small_pair(seed, d=4):
+    """A synthetic pair of 5 nodes with features ``d`` wide, drawn from ``seed``."""
+    return gen_synthetic_pair(SynthConfig(n_inliers=5, d=d, classes=5),
+                              rng=np.random.default_rng(seed))
+
+
 @pytest.fixture
 def config_file(tmp_path):
     cfg = {
@@ -108,7 +114,7 @@ def test_ablate_choices_are_the_bench_ablations(tmp_path):
     assert tuple(ablate.choices) == ABLATIONS
     assert {"full"} | {f"no_{a}" for a in ABLATIONS} == set(VARIANTS)
     pair_file, ckpt = str(tmp_path / "pair.json"), str(tmp_path / "ckpt.json")
-    save_pair(gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=1)), pair_file)
+    save_pair(small_pair(1), pair_file)
     save_parameters(init_parameters(6, n_layers=1, seed=0), ckpt)
     out = tmp_path / "m.json"
     for ablation in (None, *ABLATIONS):
@@ -190,6 +196,24 @@ def test_bench_robust_seed_moves_only_the_injection(tmp_path, sweep_inputs):
     # the header and the k = 0 row sweep the clean pairs, which no seed touches
     assert lines[0][:2] == lines[1][:2]
     assert all(a != b for a, b in zip(lines[0][2:], lines[1][2:]))
+
+
+@pytest.mark.parametrize("command,flags,config,seed", [
+    ("synth", ["--seed", "-1"], None, -1),
+    ("train", ["--seed", "-5"], None, -5),
+    ("bench-robust", ["--seed", "-1"], None, -1),
+    ("synth", [], {"synth": {"seed": -1}}, -1),
+], ids=["synth_flag", "train_flag", "bench_robust_flag", "synth_config"])
+def test_negative_seed_names_the_seed(tmp_path, capsys, run_inputs, command, flags, config, seed):
+    # numpy's own message, "expected non-negative integer", named no seed
+    inputs = dict(run_inputs)
+    if config is not None:
+        inputs["config"] = str(tmp_path / "negative.json")
+        Path(inputs["config"]).write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(_argv(command, inputs, {"out": str(out)}) + flags) == 1
+    assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
+    assert not out.exists()
 
 
 def test_seed_override_changes_dataset(tmp_path, config_file):
@@ -356,7 +380,7 @@ BAD_CONFIGS = {
 def test_bad_config_exit_code(tmp_path, capsys, command, config, fragment):
     cfg = tmp_path / "bad_config.json"
     cfg.write_text(json.dumps(config))
-    pair = gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3))
+    pair = small_pair(3)
     data = tmp_path / "data.json"
     save_dataset([pair], str(data))
     argv = {
@@ -466,7 +490,7 @@ WIDER_FEATURES_B = ("graph_a has 5 nodes and attributes 6 wide, but graph_b has 
         "gt_short", "extra_node_b", "wider_features_b"])
 def test_bad_pair_exit_code(tmp_path, capsys, edit, fragment):
     pair_file = tmp_path / "pair.json"
-    save_pair(gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3)), str(pair_file))
+    save_pair(small_pair(3), str(pair_file))
     obj = json.loads(pair_file.read_text())
     edit(obj)
     pair_file.write_text(json.dumps(obj))
@@ -487,7 +511,7 @@ def test_bad_pair_exit_code(tmp_path, capsys, edit, fragment):
 def test_all_outlier_ground_truth_scores_zero(tmp_path, capsys):
     # no node of graph a has a match, so accuracy and F1 have nothing to count
     pair_file = tmp_path / "pair.json"
-    save_pair(gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3)), str(pair_file))
+    save_pair(small_pair(3), str(pair_file))
     obj = json.loads(pair_file.read_text())
     obj["gt_permutation"] = [-1] * 5
     pair_file.write_text(json.dumps(obj))
@@ -551,7 +575,7 @@ def _repeated_gt(obj):
 ], ids=["ragged_coords", "repeated_gt", "extra_node_b", "wider_features_b"])
 def test_bad_dataset_pair_names_the_pair(tmp_path, capsys, command, edit, message):
     data = tmp_path / "data.json"
-    pairs = [gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=s)) for s in range(3)]
+    pairs = [small_pair(s) for s in range(3)]
     save_dataset(pairs, str(data))
     obj = json.loads(data.read_text())
     edit(obj["pairs"][2])
@@ -572,8 +596,7 @@ def test_train_checks_every_width_before_the_first_step(tmp_path, capsys, monkey
     # parameters that take attributes 6 wide; pair 2 has 3
     import quadmatch.train as train_module
 
-    pairs = [gen_synthetic_pair(SynthConfig(n_inliers=5, d=d, classes=5, seed=s))
-             for s, d in enumerate((4, 4, 3))]
+    pairs = [small_pair(s, d=d) for s, d in enumerate((4, 4, 3))]
     data = tmp_path / "data.json"
     save_dataset(pairs, str(data))
     calls = []
@@ -610,7 +633,7 @@ def test_empty_request_exit_code(tmp_path, capsys, argv, data, message):
 def test_feature_width_mismatch_names_both_widths(tmp_path, capsys, n_layers):
     # features 4 wide make attributes 6 wide; the checkpoint takes 4
     pair_file = tmp_path / "pair.json"
-    save_pair(gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3)), str(pair_file))
+    save_pair(small_pair(3), str(pair_file))
     ckpt = str(tmp_path / "ckpt.json")
     save_parameters(init_parameters(4, n_layers=n_layers, seed=0), ckpt)
     assert main(["match", "--pair", str(pair_file), "--checkpoint", ckpt]) == 1
@@ -639,7 +662,7 @@ def test_checkpoint_width_mismatch_exit_code(tmp_path, capsys, config_file, comm
 @pytest.fixture
 def run_inputs(tmp_path, config_file):
     """Inputs for every subcommand in one run directory; no training runs."""
-    pairs = [gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=s)) for s in (3, 4)]
+    pairs = [small_pair(s) for s in (3, 4)]
     save_dataset(pairs, str(tmp_path / "data.json"))
     save_pair(pairs[0], str(tmp_path / "pair.json"))
     save_parameters(init_parameters(6, n_layers=1, seed=0), str(tmp_path / "ckpt.json"))
@@ -769,7 +792,7 @@ def _drop_tensor(name):
         "tensors_not_object", "scalar_w_aff", "object_w_aff", "ragged_w_aff", "nan_w_aff"])
 def test_bad_checkpoint_exit_code(tmp_path, capsys, edit, message):
     pair_file = tmp_path / "pair.json"
-    save_pair(gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=3)), str(pair_file))
+    save_pair(small_pair(3), str(pair_file))
     ckpt = tmp_path / "ckpt.json"
     save_parameters(init_parameters(6, n_layers=2, seed=0), str(ckpt))
     obj = json.loads(ckpt.read_text())
@@ -898,7 +921,8 @@ def fuzz_dataset(n, n_pairs, width, scale, constant, seed):
     rng = np.random.default_rng(seed)
     pairs = []
     for pair_seed in rng.integers(2**16, size=n_pairs):
-        pair = gen_synthetic_pair(SynthConfig(n_inliers=n, d=1, classes=n, seed=int(pair_seed)))
+        pair = gen_synthetic_pair(SynthConfig(n_inliers=n, d=1, classes=n),
+                                  rng=np.random.default_rng(int(pair_seed)))
         rows = [np.ones((n, width)) if constant else rng.normal(size=(n, width))
                 for _ in range(2)]
         pairs.append(make_pair(KeypointSet(pair.a.keypoints.coords, scale * rows[0]),

@@ -303,14 +303,18 @@ class TestPairIO:
             make_pair(a, b, gt)
 
     def test_unequal_sizes_rejected(self):
-        a = gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=1))
-        b = gen_synthetic_pair(SynthConfig(n_inliers=6, d=4, classes=6, seed=2))
+        a = gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5),
+                               rng=np.random.default_rng(1))
+        b = gen_synthetic_pair(SynthConfig(n_inliers=6, d=4, classes=6),
+                               rng=np.random.default_rng(2))
         with pytest.raises(InvalidInputError):
             GraphPair(a.a, b.b, np.arange(5))
 
     def test_unequal_widths_rejected(self):
-        a = gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5, seed=1))
-        b = gen_synthetic_pair(SynthConfig(n_inliers=5, d=5, classes=5, seed=2))
+        a = gen_synthetic_pair(SynthConfig(n_inliers=5, d=4, classes=5),
+                               rng=np.random.default_rng(1))
+        b = gen_synthetic_pair(SynthConfig(n_inliers=5, d=5, classes=5),
+                               rng=np.random.default_rng(2))
         with pytest.raises(InvalidInputError, match="^graph_a has 5 nodes and attributes 6 "
                                                     "wide, but graph_b has 5 nodes and "
                                                     "attributes 7 wide"):
@@ -324,6 +328,7 @@ class TestPairIO:
         kp = KeypointSet(rng.uniform(size=(6, 2)) * 30, rng.normal(size=(6, 4)))
         g = build_graph(kp)
         assert g.attributes.shape == (6, 6)
-        assert g.coords_norm.min() >= 0 and g.coords_norm.max() <= 1
+        coords_norm = g.attributes[:, -2:]
+        assert coords_norm.min() >= 0 and coords_norm.max() <= 1
         # a triangulation (at least n edges), not the collinear path (n - 1)
         assert g.adjacency.sum() / 2 >= g.n

@@ -29,32 +29,33 @@ def small_cfg(**overrides):
     return SynthConfig(**base)
 
 
+def small_pair(seed=5, **overrides):
+    """``gen_synthetic_pair`` on ``small_cfg(**overrides)``, drawn from ``seed``."""
+    return gen_synthetic_pair(small_cfg(**overrides), rng=np.random.default_rng(seed))
+
+
 class TestGenSyntheticPair:
     def test_noise_free_pair_is_exact_permuted_copy(self):
-        cfg = small_cfg(feature_noise=0.0, coord_jitter=0.0)
-        pair = gen_synthetic_pair(cfg)
+        pair = small_pair(feature_noise=0.0, coord_jitter=0.0)
         perm = pair.gt
         np.testing.assert_allclose(pair.b.keypoints.coords[perm], pair.a.keypoints.coords)
         np.testing.assert_allclose(pair.b.keypoints.features[perm], pair.a.keypoints.features)
 
     def test_same_seed_identical(self):
-        cfg = small_cfg()
-        a, b = gen_synthetic_pair(cfg), gen_synthetic_pair(cfg)
+        a, b = small_pair(), small_pair()
         np.testing.assert_array_equal(a.gt, b.gt)
         np.testing.assert_array_equal(a.a.keypoints.features, b.a.keypoints.features)
 
     def test_different_seed_differs(self):
-        a = gen_synthetic_pair(small_cfg(seed=1))
-        b = gen_synthetic_pair(small_cfg(seed=2))
+        a, b = small_pair(1), small_pair(2)
         assert not np.array_equal(a.a.keypoints.coords, b.a.keypoints.coords)
 
     def test_ground_truth_is_permutation(self):
-        pair = gen_synthetic_pair(small_cfg())
+        pair = small_pair()
         assert sorted(pair.gt) == list(range(6))
 
     def test_rotation_preserves_topology(self):
-        cfg = small_cfg(rotate_b=True, coord_jitter=0.0, seed=9)
-        pair = gen_synthetic_pair(cfg)
+        pair = small_pair(9, rotate_b=True, coord_jitter=0.0)
         perm_m = np.zeros((6, 6))
         perm_m[np.arange(6), pair.gt] = 1.0
         np.testing.assert_array_equal(pair.a.adjacency,
@@ -64,8 +65,7 @@ class TestGenSyntheticPair:
         # without feature noise each node of B carries exactly the prototype
         # row of the node of A that the ground truth maps onto it
         for seed, rotate_b in itertools.product(range(10), (False, True)):
-            pair = gen_synthetic_pair(small_cfg(classes=3, feature_noise=0.0,
-                                                rotate_b=rotate_b, seed=seed))
+            pair = small_pair(seed, classes=3, feature_noise=0.0, rotate_b=rotate_b)
             np.testing.assert_array_equal(pair.b.keypoints.features[pair.gt],
                                           pair.a.keypoints.features)
 
@@ -74,15 +74,23 @@ class TestGenSyntheticPair:
             SynthConfig(n_inliers=2)
         with pytest.raises(InvalidInputError):
             SynthConfig(feature_noise=-0.1)
+        with pytest.raises(InvalidInputError, match="^seed must be >= 0, got -1$"):
+            SynthConfig(seed=-1)
+
+    def test_rng_is_required(self):
+        # cfg.seed is read only through gen_dataset's seed sequence, so
+        # `synth --seed s --n-pairs 1` writes the one pair that seed names
+        with pytest.raises(TypeError):
+            gen_synthetic_pair(small_cfg())
 
 
 class TestInjectOutliers:
     def test_zero_is_identity(self):
-        pair = gen_synthetic_pair(small_cfg())
+        pair = small_pair()
         assert inject_outliers(pair, 0, rng=np.random.default_rng(0)) is pair
 
     def test_bookkeeping(self):
-        pair = gen_synthetic_pair(small_cfg())
+        pair = small_pair()
         noisy = inject_outliers(pair, 2, rng=np.random.default_rng(3))
         assert noisy.a.n == pair.a.n + 2
         assert noisy.b.n == pair.b.n + 2
@@ -90,26 +98,26 @@ class TestInjectOutliers:
         np.testing.assert_array_equal(noisy.gt[:6], pair.gt)
 
     def test_inlier_truth_and_data_preserved(self):
-        pair = gen_synthetic_pair(small_cfg())
+        pair = small_pair()
         noisy = inject_outliers(pair, 3, rng=np.random.default_rng(4))
         np.testing.assert_array_equal(noisy.a.keypoints.coords[:6], pair.a.keypoints.coords)
         np.testing.assert_array_equal(noisy.b.keypoints.features[:6], pair.b.keypoints.features)
 
     def test_deterministic_given_seed(self):
-        pair = gen_synthetic_pair(small_cfg())
+        pair = small_pair()
         a = inject_outliers(pair, 2, rng=np.random.default_rng(11))
         b = inject_outliers(pair, 2, rng=np.random.default_rng(11))
         np.testing.assert_array_equal(a.a.keypoints.coords, b.a.keypoints.coords)
 
     def test_sigma_scale(self):
-        pair = gen_synthetic_pair(small_cfg())
+        pair = small_pair()
         noisy = inject_outliers(pair, 50, rng=np.random.default_rng(0))
         spread = np.abs(noisy.a.keypoints.coords[6:]).max()
         assert spread > 5.0  # far outside the unit frame
 
     def test_rng_is_required(self):
         with pytest.raises(TypeError):
-            inject_outliers(gen_synthetic_pair(small_cfg()), 2)
+            inject_outliers(small_pair(), 2)
 
 
 class TestDatasets:
@@ -118,9 +126,9 @@ class TestDatasets:
         from pathlib import Path
         from quadmatch.graphs import save_pair
         cfg = SynthConfig(n_inliers=6, d=5, classes=3, feature_noise=0.1,
-                          coord_jitter=0.01, n_outliers=1, seed=2718)
+                          coord_jitter=0.01, n_outliers=1)
         out = tmp_path / "pair.json"
-        save_pair(gen_synthetic_pair(cfg), out)
+        save_pair(gen_synthetic_pair(cfg, rng=np.random.default_rng(2718)), out)
         golden = Path(__file__).parent / "data" / "golden_pair.json"
         assert out.read_bytes() == golden.read_bytes()
 
@@ -156,19 +164,19 @@ class TestBenchmark:
             run_benchmark([], small_params)
 
     def test_match_pair_scores(self, small_params):
-        pair = gen_synthetic_pair(small_cfg(feature_noise=0.0, coord_jitter=0.0))
+        pair = small_pair(feature_noise=0.0, coord_jitter=0.0)
         r = match_pair(pair, small_params, "full")
         assert r.matrix.shape == (6, 6)
         assert sorted(r.permutation) == list(range(6))
         assert 0.0 <= r.accuracy <= 1.0
 
     def test_no_qc_skips_solver(self, small_params):
-        pair = gen_synthetic_pair(small_cfg())
+        pair = small_pair()
         r = match_pair(pair, small_params, "no_qc")
         assert r.trace.steps == []
 
     def test_no_prior_strips_coordinates(self, small_params):
-        pair = gen_synthetic_pair(small_cfg(feature_noise=0.0, coord_jitter=0.0))
+        pair = small_pair(feature_noise=0.0, coord_jitter=0.0)
         from quadmatch.bench import _strip_prior
         stripped = _strip_prior(pair)
         np.testing.assert_array_equal(stripped.a.attributes[:, -2:], 0.0)
@@ -178,7 +186,7 @@ class TestBenchmark:
         assert 0.0 <= r.accuracy <= 1.0
 
     def test_no_pairwise_scores_the_binary_adjacencies(self, small_params):
-        pair = gen_synthetic_pair(small_cfg())
+        pair = small_pair()
         r = match_pair(pair, small_params, "no_pairwise")
         weighted = forward(pair, small_params)[1]
         binary = QapInstance(pair.a.adjacency, pair.b.adjacency, weighted.x_u)
@@ -187,7 +195,7 @@ class TestBenchmark:
         assert r.objective != float(objective(r.matrix, weighted))
 
     def test_unknown_variant_rejected(self, small_params):
-        pair = gen_synthetic_pair(small_cfg())
+        pair = small_pair()
         with pytest.raises(InvalidInputError):
             match_pair(pair, small_params, "no_everything")
 
@@ -216,7 +224,7 @@ class TestBenchmark:
         # the rectifier collapses every attribute row to zero; the kernel
         # epsilon keeps the adjacencies finite (all zero) at inference too
         zero = np.zeros((8, 8))
-        pair = gen_synthetic_pair(small_cfg())
+        pair = small_pair()
         res = match_pair(pair, ParameterSet((zero,), (zero,), np.eye(8)), "full")
         assert sorted(res.permutation.tolist()) == list(range(pair.b.n))
 

@@ -147,7 +147,7 @@ class TestDirection:
     def test_constant_gradient_training_uniform(self):
         inst = QapInstance(np.zeros((3, 3)), np.zeros((3, 3)), np.full((3, 3), 0.7))
         x = np.full((3, 3), 1 / 3)
-        s = fw_direction(x, inst)
+        s = fw_direction(x, inst, tau=1.0)
         np.testing.assert_allclose(ad.value(s), np.full((3, 3), 1 / 3), atol=1e-9)
 
     @given(seed=st.integers(0, 500), n=st.integers(2, 6))

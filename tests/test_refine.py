@@ -180,6 +180,18 @@ class TestParameterSet:
             assert k1 == k2
             np.testing.assert_array_equal(ad.value(t1), ad.value(t2))
 
+    @pytest.mark.parametrize("size", [0, 50, 191])
+    def test_replace_flat_wrong_length_names_both(self, size):
+        # two layers of 4 x 4 tensors, five in all, flatten to 80 entries;
+        # a short vector used to fail in numpy's reshape, unnamed
+        p = init_parameters(4, n_layers=2, seed=1)
+        with pytest.raises(InvalidInputError, match=f"^parameter vector has {size} entries, not 80$"):
+            p.replace_flat(np.zeros(size))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="^seed must be >= 0, got -1$"):
+            init_parameters(4, seed=-1)
+
     def test_checkpoint_roundtrip(self, tmp_path):
         p = init_parameters(5, n_layers=2, seed=17)
         path = tmp_path / "ckpt.json"

@@ -19,15 +19,14 @@ from quadmatch.refine import (forward, init_assignment, init_parameters, node_af
 from quadmatch.synth import SynthConfig, easy_config, gen_dataset, gen_synthetic_pair
 from quadmatch.train import GRAD_CAP, LOSSES, TrainConfig, grad_params, sgd_step, train
 
-FIXTURE_CFG = SynthConfig(n_inliers=5, d=4, classes=5, feature_noise=0.2,
-                          coord_jitter=0.02, seed=13)
+FIXTURE_CFG = SynthConfig(n_inliers=5, d=4, classes=5, feature_noise=0.2, coord_jitter=0.02)
 # the gradient checks run a short solve at the warm-start temperature
 GRAD_CFG = TrainConfig(m1=1, m2=2, tau=1.0)
 
 
 @pytest.fixture
 def pair():
-    return gen_synthetic_pair(FIXTURE_CFG)
+    return gen_synthetic_pair(FIXTURE_CFG, rng=np.random.default_rng(13))
 
 
 @pytest.fixture
@@ -69,17 +68,13 @@ class TestGradParams:
         g_rev, loss_rev, _ = grad_params(pair, params, GRAD_CFG)
         g_fd, loss_fd, _ = finite_difference_grad(pair, params, GRAD_CFG)
         assert loss_rev == pytest.approx(loss_fd)
-        rel = (np.linalg.norm(g_rev.flatten() - g_fd.flatten())
-               / np.linalg.norm(g_fd.flatten()))
-        assert rel < 1e-3
+        assert np.linalg.norm(g_rev - g_fd) / np.linalg.norm(g_fd) < 1e-3
 
     def test_cross_entropy_gradients(self, pair, params):
         cfg = TrainConfig(loss="cross_entropy", m1=1, m2=2, tau=1.0)
         g_rev, _, _ = grad_params(pair, params, cfg)
         g_fd, _, _ = finite_difference_grad(pair, params, cfg)
-        rel = (np.linalg.norm(g_rev.flatten() - g_fd.flatten())
-               / np.linalg.norm(g_fd.flatten()))
-        assert rel < 1e-3
+        assert np.linalg.norm(g_rev - g_fd) / np.linalg.norm(g_fd) < 1e-3
 
     def test_fused_sinkhorn_matches_unrolled_pipeline(self, monkeypatch):
         # C8 settings: n=8 easy pairs, two GCN layers, m1=3, m2=5, tau=0.3
@@ -105,19 +100,17 @@ class TestGradParams:
         for (g, loss_v, x), (g_o, loss_o, x_o) in zip(fused, unrolled):
             assert loss_v == loss_o
             np.testing.assert_array_equal(x, x_o)
-            np.testing.assert_array_equal(g.flatten(), g_o.flatten())
+            np.testing.assert_array_equal(g, g_o)
 
     def test_assignment_is_the_forward_map(self, pair, params):
         # training differentiates the very map inference evaluates
         _, _, x = grad_params(pair, params, GRAD_CFG)
         np.testing.assert_array_equal(x, frank_wolfe_train(*forward(pair, params), 1, 2))
 
-    def test_gradients_are_parameter_shaped(self, pair, params):
+    def test_gradient_is_flat_in_parameter_order(self, pair, params):
+        # the finite-difference tests pin the order entry by entry
         g, _, x = grad_params(pair, params, GRAD_CFG)
-        assert g.n_layers == params.n_layers and g.seed == params.seed
-        for (k1, t1), (k2, t2) in zip(g.tensors().items(), params.tensors().items()):
-            assert k1 == k2 and ad.value(t1).shape == ad.value(t2).shape
-        assert x.shape == (5, 5)
+        assert g.shape == params.flatten().shape and x.shape == (5, 5)
 
     def test_underflowed_iterate_is_a_forward_failure(self):
         # at tau=0.001 the Sinkhorn direction has entries that underflow to 0,
@@ -142,31 +135,29 @@ class TestGradParams:
 
 class TestSgdStep:
     def test_zero_lr_unchanged(self, params):
-        grads = params.replace_flat(np.ones_like(params.flatten()))
-        out = sgd_step(params, grads, 0.0)
+        out = sgd_step(params, np.ones_like(params.flatten()), 0.0)
         np.testing.assert_array_equal(out.flatten(), params.flatten())
 
     def test_zero_grads_unchanged(self, params):
-        grads = params.replace_flat(np.zeros_like(params.flatten()))
-        out = sgd_step(params, grads, 0.5)
+        out = sgd_step(params, np.zeros_like(params.flatten()), 0.5)
         np.testing.assert_array_equal(out.flatten(), params.flatten())
 
     def test_scalar_arithmetic(self, params):
         theta = params.flatten()
-        grads = params.replace_flat(np.full_like(theta, 2.0))
-        out = sgd_step(params.replace_flat(np.full_like(theta, 1.0)), grads, 0.1)
+        out = sgd_step(params.replace_flat(np.full_like(theta, 1.0)), np.full_like(theta, 2.0), 0.1)
         np.testing.assert_allclose(out.flatten(), 0.8)
 
     def test_purity(self, params):
         before = params.flatten().copy()
-        grads = params.replace_flat(np.ones_like(before))
-        sgd_step(params, grads, 0.1)
+        sgd_step(params, np.ones_like(before), 0.1)
         np.testing.assert_array_equal(params.flatten(), before)
 
     def test_shape_mismatch_rejected(self, params):
-        bad = init_parameters(6, n_layers=2, seed=0)
-        with pytest.raises(InvalidInputError):
-            sgd_step(params, bad, 0.1)
+        # the fixture's one layer of 6 x 6 tensors flattens to 108 entries;
+        # 180 is the length of a two-layer set, and 1 would broadcast
+        for size in (1, 180):
+            with pytest.raises(InvalidInputError, match=f"^gradient has {size} entries, not 108$"):
+                sgd_step(params, np.ones(size), 0.1)
 
 
 class TestTrainLoop:
@@ -219,11 +210,11 @@ class TestTrainLoop:
         # at the fixture's start the false-matching gradient norm is about
         # 436, the cross-entropy one about 14
         cfg = TrainConfig(epochs=1, m1=1, m2=2, loss=loss)
-        grads, _, _ = grad_params(pair, params, cfg)
-        assert (grads.norm() > GRAD_CAP) == clipped
+        grad, _, _ = grad_params(pair, params, cfg)
+        assert (np.linalg.norm(grad) > GRAD_CAP) == clipped
         trained, _ = train([pair], cfg, params)
         step = np.linalg.norm(trained.flatten() - params.flatten())
-        np.testing.assert_allclose(step, cfg.learning_rate * min(grads.norm(), GRAD_CAP),
+        np.testing.assert_allclose(step, cfg.learning_rate * min(np.linalg.norm(grad), GRAD_CAP),
                                    rtol=1e-12)
 
     def test_zero_features_train(self):
@@ -243,7 +234,7 @@ class TestTrainLoop:
         params = init_parameters(6, seed=0)
         cfg = TrainConfig(epochs=1)
         with np.errstate(over="ignore"):
-            assert not np.isfinite(grad_params(pairs[0], params, cfg)[0].norm())
+            assert not np.isfinite(np.linalg.norm(grad_params(pairs[0], params, cfg)[0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             trained, _ = train(pairs, cfg, params)
