@@ -28,9 +28,10 @@ class SinkhornResult:
 def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
     """Alternating row/column normalization toward a doubly-stochastic matrix.
 
-    Takes the log of the matrix to normalize (finite entries), so affinities
-    too spread out to exponentiate pass through without underflowing to
-    zero; a positive matrix ``m`` goes in as ``ad.log(m)``. Returns the
+    Takes the log of the matrix to normalize (finite entries whose span,
+    maximum minus minimum, is a finite float), so affinities too spread out
+    to exponentiate pass through without underflowing to zero; a positive
+    matrix ``m`` goes in as ``ad.log(m)``. Returns the
     exponentiated last iterate. The argument is never written to.
 
     Each half-step subtracts the log-sum-exp along one axis in seven ufunc
@@ -56,8 +57,10 @@ def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
     lv = ad.value(log_m)
     if lv.ndim != 2 or lv.shape[0] != lv.shape[1] or lv.shape[0] < 1:
         raise InvalidInputError(f"sinkhorn expects a square matrix, got shape {lv.shape}")
-    if not np.all(np.isfinite(lv)):
-        raise InvalidInputError("sinkhorn requires finite entries")
+    # one span serves both checks: a NaN or an infinite entry makes it
+    # non-finite, and so do finite entries whose shifts would overflow
+    if not math.isfinite(span := float(lv.max()) - float(lv.min())):
+        raise InvalidInputError(f"sinkhorn requires finite entries and a finite span, got {span}")
 
     on_tape = isinstance(log_m, ad.Var)
     n = lv.shape[0]
@@ -145,6 +148,12 @@ def hungarian(score) -> np.ndarray:
         raise InvalidInputError("hungarian requires finite entries")
 
     n = s.shape[0]
+    # near the float limit the solver's sums and the shortest paths overflow
+    # (scipy then returns a worse permutation, and an infinite tol puts
+    # inf * 0 = NaN in the second solve's score); halving is exact and moves
+    # no optimum, so scores are halved until a sum of 4n of them is finite
+    while not math.isfinite(4.0 * top * n):
+        s, top = s / 2, top / 2
     tol = 1e-9 * max(1.0, top * n)
     rows, cols = linear_sum_assignment(s, maximize=True)
     perm = np.zeros((n, n))

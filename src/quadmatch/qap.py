@@ -65,25 +65,25 @@ class SolveTrace:
                         ((s.outer, s.inner, s.epsilon, s.objective) for s in self.steps))
 
 
+def _residual(x, inst: QapInstance):
+    """The residual ``A - x B x^T`` of an assignment that fits the instance."""
+    if ad.value(x).shape != (inst.n, inst.n):
+        raise InvalidInputError("assignment shape does not match the instance")
+    return inst.a_d - (x @ inst.b_d) @ ad.transpose(x)
+
+
 def objective(x, inst: QapInstance):
     """Structural discrepancy plus negated unary alignment."""
-    xv = ad.value(x)
-    if xv.shape != (inst.n, inst.n):
-        raise InvalidInputError("assignment shape does not match the instance")
-    r = inst.a_d - (x @ inst.b_d) @ ad.transpose(x)
+    r = _residual(x, inst)
     return ad.asum(r * r) - ad.asum(inst.x_u * x)
 
 
 def objective_gradient(x, inst: QapInstance):
     """Analytic gradient of the objective with respect to the assignment."""
-    xv = ad.value(x)
-    if xv.shape != (inst.n, inst.n):
-        raise InvalidInputError("assignment shape does not match the instance")
-    r = inst.a_d - (x @ inst.b_d) @ ad.transpose(x)
     # a second x @ B, not the residual's: on the tape a shared product would
     # send its summed upstream gradient through one matmul instead of each
     # part through its own, which moves the last bits of training gradients
-    return _gradient(r, x @ inst.b_d, x @ ad.transpose(inst.b_d), inst.x_u)
+    return _gradient(_residual(x, inst), x @ inst.b_d, x @ ad.transpose(inst.b_d), inst.x_u)
 
 
 def _gradient(r, xb, xbt, u):
@@ -165,41 +165,45 @@ def frank_wolfe_infer(x0, inst: QapInstance):
     change the best iterate: the run stops there with ``converged`` set.
 
     The instance is read as it is: its matrices, like ``x0``, must be plain
-    arrays, and a tape ``Var`` raises ``InvalidInputError``. Each step forms
-    ``x @ B`` and the residual ``A - x B x^T`` once, after its update, and
-    takes from them both the traced objective and the next step's gradient;
-    the arithmetic is that of ``objective`` and of
+    arrays, and a tape ``Var`` raises ``InvalidInputError``. Every iterate,
+    each step's and each rounding, is scored once: ``x @ B``, the residual
+    ``A - x B x^T`` and the objective, from which the next step's gradient is
+    also taken, so a rounding's residual is the next round's first. The
+    arithmetic is that of ``objective`` and of
     ``hungarian(-objective_gradient(x, inst))``, so every value is the same
     bits.
     """
     a, b, u = inst.a_d, inst.b_d, inst.x_u
     if any(isinstance(t, ad.Var) for t in (x0, a, b, u)):
         raise InvalidInputError("inference solver is not differentiable; pass plain arrays")
-    x = np.asarray(x0, dtype=float)
-    trace = SolveTrace(converged=False)
 
-    best = hungarian(x)
-    best_val = float(objective(best, inst))
-
-    bt = b.T
-    seen = set()  # the bytes of every round's rounding so far
-    for outer in range(FW_INFER_ROUNDS):
+    def score(x):
+        """``x @ B``, the residual and the objective of the iterate ``x``."""
         xb = x @ b
         r = a - xb @ x.T
+        # np.add.reduce over all axes is what np.sum runs: the same bits
+        return xb, r, float(np.add.reduce(r * r, axis=None) - np.add.reduce(u * x, axis=None))
+
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (inst.n, inst.n):
+        raise InvalidInputError("assignment shape does not match the instance")
+    trace = SolveTrace(converged=False)
+    best = hungarian(x)
+    best_val = score(best)[2]
+    xb, r, _ = score(x)
+    seen = set()  # the bytes of every round's rounding so far
+    for outer in range(FW_INFER_ROUNDS):
         for inner in range(FW_INFER_MAX_INNER):
             eps = fw_step_size(inner)
-            s = hungarian(-_gradient(r, xb, x @ bt, u))
+            s = hungarian(-_gradient(r, xb, x @ b.T, u))
             fixed = (s == x).all()
             x = x - eps * (x - s)
-            xb = x @ b
-            r = a - xb @ x.T
-            # np.add.reduce over all axes is what np.sum runs: the same bits
-            value = np.add.reduce(r * r, axis=None) - np.add.reduce(u * x, axis=None)
-            trace.steps.append(TraceStep(outer, inner, eps, float(value)))
+            xb, r, value = score(x)
+            trace.steps.append(TraceStep(outer, inner, eps, value))
             if fixed:
                 break
         rounded = hungarian(x)
-        val = float(objective(rounded, inst))
+        xb, r, val = score(rounded)
         if val < best_val:
             best, best_val = rounded, val
         key = rounded.tobytes()

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 import experiments
-import quadmatch as qm
 from oracles import finite_difference_grad
 from quadmatch import autodiff as ad
 from quadmatch.bench import evaluate_pairs
-from quadmatch.losses import LossConfig
+from quadmatch.losses import LossConfig, cross_entropy_loss, false_matching_loss
 from quadmatch.projections import hungarian, sinkhorn
 from quadmatch.qap import QapInstance, frank_wolfe_infer, objective, objective_gradient
+from quadmatch.refine import init_parameters
+from quadmatch.synth import SynthConfig, gen_synthetic_pair
 from quadmatch.train import TrainConfig, grad_params
 
 
@@ -77,10 +78,10 @@ def test_c02_end_to_end_differentiability():
         worst = 0.0
         train_cfg = TrainConfig(m1=1, m2=2, tau=1.0)
         for seed in range(20):
-            cfg = qm.SynthConfig(n_inliers=5, d=4, classes=5, feature_noise=0.2,
-                                 coord_jitter=0.02)
-            pair = qm.gen_synthetic_pair(cfg, rng=np.random.default_rng(1000 + seed))
-            params = qm.init_parameters(6, n_layers=1, seed=seed)
+            cfg = SynthConfig(n_inliers=5, d=4, classes=5, feature_noise=0.2,
+                              coord_jitter=0.02)
+            pair = gen_synthetic_pair(cfg, rng=np.random.default_rng(1000 + seed))
+            params = init_parameters(6, n_layers=1, seed=seed)
             g_rev, _, _ = grad_params(pair, params, train_cfg)
             g_fd, _, _ = finite_difference_grad(pair, params, train_cfg)
             rel = np.linalg.norm(g_rev - g_fd) / max(np.linalg.norm(g_fd), 1e-30)
@@ -139,20 +140,20 @@ def test_c05_loss_contracts():
         rng = np.random.default_rng(505)
         n = 8
         x_star = np.eye(n)[rng.permutation(n)]
-        assert qm.false_matching_loss(x_star, x_star, cfg) == 2.0
+        assert false_matching_loss(x_star, x_star, cfg) == 2.0
 
         bound = np.exp(cfg.alpha * n) + np.exp(cfg.beta * n)
         for seed in range(200):
             x = ad.value(sinkhorn(np.log(np.random.default_rng(seed).uniform(
                 0.1, 1.0, size=(n, n)))).matrix)
-            loss = qm.false_matching_loss(x, x_star, cfg)
+            loss = false_matching_loss(x, x_star, cfg)
             assert 2.0 - 1e-9 <= loss <= bound + 1e-9
 
         # adversarial fixture: all prediction mass exactly where truth has none
         adversarial = x_star[:, np.roll(np.arange(n), 1)]
         assert float((adversarial * x_star).sum()) == 0.0
-        ce = qm.cross_entropy_loss(adversarial, x_star, LossConfig(clip_eps=1e-300))
-        fm = qm.false_matching_loss(adversarial, x_star, cfg)
+        ce = cross_entropy_loss(adversarial, x_star, LossConfig(clip_eps=1e-300))
+        fm = false_matching_loss(adversarial, x_star, cfg)
         print(f"  ce={ce}, fm={fm:.3e} (cap {bound:.3e})", end="")
         assert ce > 1e6
         assert np.isfinite(fm) and fm <= bound + 1e-9

@@ -1,25 +1,30 @@
 """Import hygiene: every name a module imports is used in that module, only
 ``files.py`` opens files or spells a file format, the package uses three
 scipy names, only the command line and the package ``__init__`` import the
-training module, and only ``__main__`` imports the command line, so
-``import quadmatch`` never loads it."""
+training module, only ``__main__`` imports the command line, so
+``import quadmatch`` never loads it, and the package itself names only its
+modules and what the benchmark reads from it."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "quadmatch").glob("*.py"))
-# the package ``__init__`` imports in order to re-export
+# the package ``__init__`` imports modules in order to load them
 FILES = sorted([p for p in PACKAGE if p.name != "__init__.py"]
                + list((ROOT / "tests").glob("*.py")) + list((ROOT / "scripts").glob("*.py")))
 FORMAT_CALLS = re.compile(r"\bopen\(|\bjson\.(dump|load)|\bio\.StringIO")
 SCIPY_NAMES = {"scipy.optimize.linear_sum_assignment", "scipy.spatial.Delaunay",
                "scipy.spatial.QhullError"}
 # inference and the front end need nothing from training; these two compose
-# every subcommand or re-export the package's names
+# every subcommand or load every module
 TRAIN_IMPORTERS = {"cli.py", "__init__.py"}
 CLI_IMPORTERS = {"__main__.py"}
 
@@ -137,3 +142,27 @@ def test_train_scan_flags_each_spelling():
               "from .trainer import x\nfrom .refine import train\nfrom . import refine\n"
               "import quadmatch.training_set\nimport train\n")
     assert package_imports(source, "train") == [1, 2, 3, 4, 5]
+
+
+def package_names(source: str) -> set[str]:
+    """Names that ``from quadmatch import ...`` statements in ``source`` read
+    from the package itself."""
+    return {a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "quadmatch"
+            for a in node.names}
+
+
+def test_package_surface():
+    # a fresh interpreter, since other tests load the command line
+    script = ("import json, sys, types, quadmatch\n"
+              "print(json.dumps([sorted(m for m in sys.modules if m.startswith('quadmatch.')),\n"
+              "                  sorted(k for k, v in vars(quadmatch).items() if k[0] != '_'\n"
+              "                         and not isinstance(v, types.ModuleType))]))\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
+    loaded, names = json.loads(out)
+    modules = {p.stem for p in PACKAGE}
+    assert loaded == sorted(f"quadmatch.{m}" for m in modules - {"__init__", "__main__", "cli"})
+    benchmark = set().union(*(package_names(p.read_text(encoding="utf-8"))
+                              for p in (ROOT / "perfbench").glob("*.py")))
+    assert names == sorted(benchmark - modules)

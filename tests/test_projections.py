@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,14 @@ class TestSinkhorn:
             with np.errstate(divide="ignore"):
                 sinkhorn(ad.log(ad.Var(np.array([[1.0, 0.0], [1.0, 1.0]]))))
 
+    @pytest.mark.parametrize("on_tape", [False, True])
+    def test_overflowing_span_rejected(self, on_tape):
+        # finite logs whose span overflows a float: each shift by a maximum
+        # would give -inf, and the result NaN
+        log_m = np.array([[1e308, -1e308], [1e308, -1e308]])
+        with pytest.raises(InvalidInputError, match="finite entries.*span, got inf"):
+            sinkhorn(ad.Var(log_m) if on_tape else log_m)
+
     def test_nonsquare_rejected(self):
         with pytest.raises(InvalidInputError):
             sinkhorn(np.zeros((2, 3)))
@@ -132,6 +141,11 @@ class TestSinkhorn:
         # and no array per half-step
         n = 6
         log_m = rng.normal(scale=3.0, size=(n, n))
+
+        # numpy's first call on each branch fills caches that later calls
+        # reuse; pay for them before measuring
+        sinkhorn(log_m, max_iter=1)
+        sinkhorn(ad.Var(log_m), max_iter=1)
 
         def peak(arg, max_iter):
             tracemalloc.start()
@@ -332,6 +346,19 @@ class TestHungarian:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(InvalidInputError, match="finite entries"):
                 hungarian(np.array([[1.0, bad], [0.0, 1.0]]))
+
+    def test_scores_near_the_float_limit(self):
+        # unscaled, these overflow: an infinite tolerance (NaN off the
+        # optimum), scipy's worse permutation on the last, and the tie
+        # branch's shortest paths on the tied pair
+        cases = [(np.diag([1e308, 1e308]), [0, 1]), (np.full((3, 3), 7e307), [0, 1, 2]),
+                 ([[-1e308, 1e308], [1e308, -1e308]], [1, 0]),
+                 ([[1e308, 1e308], [-1e308, -1e308]], [0, 1]),
+                 (np.array([[6, -8, -4], [5, -6, -5], [10, -6, 10]]) * 1e307, [0, 1, 2])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for score, cols in cases:
+                np.testing.assert_array_equal(hungarian(np.array(score)), np.eye(len(cols))[cols])
 
     def test_returns_float_zero_one_matrix(self, rng):
         for score in (rng.normal(size=(6, 6)), np.ones((6, 6)), np.arange(4).reshape(2, 2)):

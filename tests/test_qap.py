@@ -270,6 +270,11 @@ class TestFrankWolfeInfer:
             with pytest.raises(InvalidInputError):
                 frank_wolfe_infer(np.eye(3), on_tape)
 
+    def test_rejects_start_of_another_size(self, rng):
+        inst = random_instance(rng, 4)
+        with pytest.raises(InvalidInputError, match="assignment shape"):
+            frank_wolfe_infer(np.eye(3), inst)
+
     def test_fixed_point_stops_each_round_after_one_step(self, rng):
         # the Hungarian direction at the unary's favoured permutation is that
         # permutation, so each round breaks after one step and the repeated
