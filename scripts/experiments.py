@@ -42,8 +42,8 @@ SWEEP_SEED = 7
 
 def qc_ablation_setup():
     """C7's ambiguous pairs and the untrained parameters they are matched with."""
-    cfg = ambiguous_config(seed=QC_SEED)
-    return gen_dataset(cfg, QC_PAIRS), init_parameters(cfg.d + 2, seed=QC_SEED)
+    pairs = gen_dataset(ambiguous_config(seed=QC_SEED), QC_PAIRS)
+    return pairs, init_parameters(pairs[0].a.attributes.shape[1], seed=QC_SEED)
 
 
 def qc_figure(full: float, no_qc: float) -> str:
@@ -53,12 +53,12 @@ def qc_figure(full: float, no_qc: float) -> str:
 def trained_model():
     """C8's model, shared with C9. Returns (trained parameters, history,
     held-out accuracy before training, held-out pairs)."""
-    cfg = easy_config(seed=TRAIN_SEED)
+    train_pairs = gen_dataset(easy_config(seed=TRAIN_SEED), TRAIN_PAIRS)
     test_pairs = gen_dataset(easy_config(seed=TEST_SEED), TEST_PAIRS)
-    params0 = init_parameters(cfg.d + 2, seed=MODEL_SEED)
+    params0 = init_parameters(train_pairs[0].a.attributes.shape[1], seed=MODEL_SEED)
     untrained = evaluate_pairs(test_pairs, params0, "full").mean_accuracy
-    params, history = train(gen_dataset(cfg, TRAIN_PAIRS),
-                            TrainConfig(epochs=EPOCHS, seed=MODEL_SEED), params=params0)
+    params, history = train(train_pairs, TrainConfig(epochs=EPOCHS, seed=MODEL_SEED),
+                            params=params0)
     return params, history, untrained, test_pairs
 
 

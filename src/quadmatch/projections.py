@@ -25,14 +25,21 @@ class SinkhornResult:
     iterations: int
 
 
-def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
+def sinkhorn(log_m) -> SinkhornResult:
     """Alternating row/column normalization toward a doubly-stochastic matrix.
 
     Takes the log of the matrix to normalize (finite entries whose span,
     maximum minus minimum, is a finite float), so affinities too spread out
     to exponentiate pass through without underflowing to zero; a positive
-    matrix ``m`` goes in as ``ad.log(m)``. Returns the
-    exponentiated last iterate. The argument is never written to.
+    matrix ``m`` goes in as ``ad.log(m)``. Returns the exponentiated iterate
+    after ``SINKHORN_MAX_ITER`` rounds, a module constant rather than an
+    argument, read once per call. The argument is never written to.
+
+    The map is the fixed unrolled one the model trains through, not the
+    limit: its result is not exactly doubly stochastic. The largest
+    row or column sum error over the benchmark's traced seed-1 calls is
+    0.0041, 0.0175 and 0.0407 on infer-ambiguous, train-easy and
+    infer-outliers, and criterion C3 runs 100 rounds for its 1e-6 bound.
 
     Each half-step subtracts the log-sum-exp along one axis in seven ufunc
     calls, the oracle ``logsumexp``'s in the same order, so the same bits:
@@ -43,16 +50,17 @@ def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
     Off the tape the log iterate is a private copy updated in place, and
     the loop stops at a bitwise fixed point: when a round ends on the bytes
     it started from, every remaining round would reproduce them, so the
-    result is the one ``max_iter`` rounds give. ``iterations`` is the number
-    of rounds computed, at most ``max_iter``.
+    result is the one ``SINKHORN_MAX_ITER`` rounds give. ``iterations`` is
+    the number of rounds computed, at most ``SINKHORN_MAX_ITER``.
 
     On the training tape the whole normalization is one node and every
-    round runs (``iterations`` is ``max_iter``): the forward pass writes each
-    normalized log iterate into one ``(2 * max_iter, n, n)`` block, held only
-    while the tape lives, and exponentiates the whole block in place with one
-    call once the loop ends; the backward pass replays the exponentiated
-    iterates in reverse through the same buffers. Its gradient is bit for bit
-    the one a tape holding one node per operation of the loop gives.
+    round runs (``iterations`` is ``SINKHORN_MAX_ITER``): the forward pass
+    writes each normalized log iterate into one ``(2 * SINKHORN_MAX_ITER, n,
+    n)`` block, held only while the tape lives, and exponentiates the whole
+    block in place with one call once the loop ends; the backward pass
+    replays the exponentiated iterates in reverse through the same buffers.
+    Its gradient is bit for bit the one a tape holding one node per
+    operation of the loop gives.
     """
     lv = ad.value(log_m)
     if lv.ndim != 2 or lv.shape[0] != lv.shape[1] or lv.shape[0] < 1:
@@ -62,6 +70,7 @@ def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
     if not math.isfinite(span := float(lv.max()) - float(lv.min())):
         raise InvalidInputError(f"sinkhorn requires finite entries and a finite span, got {span}")
 
+    rounds = SINKHORN_MAX_ITER
     on_tape = isinstance(log_m, ad.Var)
     n = lv.shape[0]
     top, tot = np.empty(n), np.empty(n)
@@ -69,12 +78,12 @@ def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
     top_rows, tot_rows, top_cols, tot_cols = top[:, None], tot[:, None], top[None, :], tot[None, :]
     buf = np.empty_like(lv)
     if on_tape:
-        iterates = np.empty((2 * max_iter, n, n))
+        iterates = np.empty((2 * rounds, n, n))
         x = lv
     else:
         x = np.array(lv)
         start = x.tobytes()
-    for r in range(max_iter):
+    for r in range(rounds):
         to_rows, to_cols = (iterates[2 * r], iterates[2 * r + 1]) if on_tape else (x, x)
         np.maximum.reduce(x, 1, None, top)
         np.subtract(x, top_rows, buf)
@@ -96,7 +105,7 @@ def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
                 return SinkhornResult(np.exp(x, x), r + 1)
             start = end
     if not on_tape:
-        return SinkhornResult(np.exp(x, x), max_iter)
+        return SinkhornResult(np.exp(x, x), rounds)
     out = np.exp(x)
     np.exp(iterates, iterates)
 
@@ -104,7 +113,7 @@ def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
         # reverse of x <- x - lse(x): g <- g - softmax * sum(g); the even
         # half-steps normalized rows, the odd ones columns
         g = g * out
-        for k in range(2 * max_iter - 1, 0, -1):
+        for k in range(2 * rounds - 1, 0, -1):
             axis, tot_v = (0, tot_cols) if k % 2 else (1, tot_rows)
             np.add.reduce(g, axis, None, tot)
             np.multiply(iterates[k], tot_v, buf)
@@ -114,10 +123,9 @@ def sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
         # other uses sum into its grad in the same order and the result is
         # the same
         log_m.grad += g
-        if max_iter:
-            log_m.grad -= iterates[0] * g.sum(axis=1, keepdims=True)
+        log_m.grad -= iterates[0] * g.sum(axis=1, keepdims=True)
 
-    return SinkhornResult(ad.Var(out, (log_m,), bw), max_iter)
+    return SinkhornResult(ad.Var(out, (log_m,), bw), rounds)
 
 
 def hungarian(score) -> np.ndarray:

@@ -4,8 +4,6 @@ import pytest
 
 hypothesis.settings.register_profile(
     "default", max_examples=50, derandomize=True, deadline=None)
-hypothesis.settings.register_profile(
-    "thorough", max_examples=300, derandomize=True, deadline=None)
 hypothesis.settings.load_profile("default")
 
 

@@ -1,6 +1,9 @@
-"""Slow reference implementations that the fast product paths are tested against."""
+"""Slow reference implementations that the fast product paths are tested
+against, and ``sinkhorn_rounds``, the one way a test runs Sinkhorn at a
+round count other than the product's."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -8,9 +11,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from quadmatch import autodiff as ad
+from quadmatch import projections
 from quadmatch.errors import InvalidInputError
 from quadmatch.losses import LossConfig, permutation_to_matrix
-from quadmatch.projections import SINKHORN_MAX_ITER, SinkhornResult
 from quadmatch.qap import (FW_INFER_MAX_INNER, FW_INFER_ROUNDS, QapInstance, SolveTrace,
                            TraceStep, frank_wolfe_train, fw_step_size, objective,
                            objective_gradient)
@@ -150,19 +153,29 @@ def logsumexp(a, axis: int, keepdims: bool = False):
     return ad.Var(out if keepdims else np.squeeze(out, axis=axis), (a,), bw)
 
 
-def unrolled_sinkhorn(log_m, max_iter: int = SINKHORN_MAX_ITER) -> SinkhornResult:
+def sinkhorn_rounds(rounds: int):
+    """Context manager that runs ``projections.sinkhorn`` and
+    ``unrolled_sinkhorn`` at ``rounds`` rounds instead of
+    ``SINKHORN_MAX_ITER``; it patches the module constant both read, so it
+    also works inside a hypothesis test body."""
+    return mock.patch.object(projections, "SINKHORN_MAX_ITER", rounds)
+
+
+def unrolled_sinkhorn(log_m) -> projections.SinkhornResult:
     """Sinkhorn normalization built from tape primitives, one node per operation.
 
     Same input and result as ``projections.sinkhorn``, but it runs every one
-    of the ``max_iter`` rounds, as the tape branch does; on a tape ``Var``
+    of the ``projections.SINKHORN_MAX_ITER`` rounds, as the tape branch does
+    (read at call time, so ``sinkhorn_rounds`` applies); on a tape ``Var``
     every half-step adds a ``logsumexp`` and a ``sub`` node, so reverse mode
     differentiates the unrolled loop operation by operation.
     """
+    rounds = projections.SINKHORN_MAX_ITER
     log_x = log_m
-    for _ in range(max_iter):
+    for _ in range(rounds):
         log_x = log_x - logsumexp(log_x, axis=1, keepdims=True)
         log_x = log_x - logsumexp(log_x, axis=0, keepdims=True)
-    return SinkhornResult(ad.exp(log_x), max_iter)
+    return projections.SinkhornResult(ad.exp(log_x), rounds)
 
 
 def stepwise_frank_wolfe_infer(x0, inst: QapInstance):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import experiments
-from oracles import finite_difference_grad
+from oracles import finite_difference_grad, sinkhorn_rounds
 from quadmatch import autodiff as ad
 from quadmatch.bench import evaluate_pairs
 from quadmatch.losses import LossConfig, cross_entropy_loss, false_matching_loss
@@ -97,12 +97,14 @@ def test_c03_projection_correctness():
     with criterion("C3 projections (1000 sinkhorn, 500 hungarian vs brute force, < 30 s)"):
         start = time.perf_counter()
         rng = np.random.default_rng(303)
-        for _ in range(1000):
-            n = int(rng.integers(1, 33))
-            m = rng.uniform(1e-3, 1.0, size=(n, n))
-            out = ad.value(sinkhorn(np.log(m), max_iter=100).matrix)
-            assert np.abs(out.sum(axis=0) - 1.0).max() < 1e-6
-            assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-6
+        # the product's 50 rounds leave one of these instances at 1.25e-5
+        with sinkhorn_rounds(100):
+            for _ in range(1000):
+                n = int(rng.integers(1, 33))
+                m = rng.uniform(1e-3, 1.0, size=(n, n))
+                out = ad.value(sinkhorn(np.log(m)).matrix)
+                assert np.abs(out.sum(axis=0) - 1.0).max() < 1e-6
+                assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-6
         for _ in range(500):
             n = int(rng.integers(1, 8))
             score = rng.normal(size=(n, n))

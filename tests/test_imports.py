@@ -3,7 +3,9 @@
 scipy names, only the command line and the package ``__init__`` import the
 training module, only ``__main__`` imports the command line, so
 ``import quadmatch`` never loads it, and the package itself names only its
-modules and what the benchmark reads from it."""
+modules and what the benchmark reads from it. Also the package's settable
+surface outside the command line: every parameter with a default and every
+config field, pinned in one table."""
 
 import ast
 import json
@@ -27,6 +29,32 @@ SCIPY_NAMES = {"scipy.optimize.linear_sum_assignment", "scipy.spatial.Delaunay",
 # every subcommand or load every module
 TRAIN_IMPORTERS = {"cli.py", "__init__.py"}
 CLI_IMPORTERS = {"__main__.py"}
+# every parameter with a default, by module and qualified function name, and
+# every field of a config class: a change that adds or drops a settable value
+# edits this table (the command line's options are pinned in test_cli.py)
+DEFAULTED = {
+    "autodiff.Var.__init__": ("parents", "backward"),
+    "autodiff.asum": ("axis", "keepdims"),
+    "bench.match_pair": ("variant",),
+    "bench.evaluate_pairs": ("variant",),
+    "bench.outlier_sweep": ("seed",),
+    "cli.main": ("argv",),
+    "losses.false_matching_loss": ("cfg",),
+    "losses.cross_entropy_loss": ("cfg",),
+    "qap.frank_wolfe_train": ("m1", "m2", "tau"),
+    "refine.ParameterSet.from_tensors": ("seed",),
+    "refine.init_parameters": ("n_layers", "seed"),
+    "synth.easy_config": ("seed",),
+    "synth.ambiguous_config": ("seed",),
+    "train.train": ("params",),
+}
+CONFIG_FIELDS = {
+    "losses.LossConfig": ("alpha", "beta", "clip_eps"),
+    "synth.SynthConfig": ("n_inliers", "d", "classes", "feature_noise", "coord_jitter",
+                          "n_outliers", "seed", "rotate_b"),
+    "train.TrainConfig": ("epochs", "learning_rate", "m1", "m2", "loss", "seed", "loss_cfg",
+                          "tau", "n_layers"),
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -166,3 +194,51 @@ def test_package_surface():
     benchmark = set().union(*(package_names(p.read_text(encoding="utf-8"))
                               for p in (ROOT / "perfbench").glob("*.py")))
     assert names == sorted(benchmark - modules)
+
+
+def settable_values(source: str, module: str) -> tuple[dict, dict]:
+    """The parameters with a default of each function or lambda in
+    ``source``, keyed ``module.qualified_name``, and the annotated fields of
+    each class whose name ends in ``Config``."""
+    defaulted, fields = {}, {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            scoped = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            name = prefix + (child.name if scoped else "<lambda>")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                names = [p.arg for p in positional[len(positional) - len(a.defaults):]]
+                names += [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                if names:
+                    defaulted[name] = tuple(names)
+            if isinstance(child, ast.ClassDef) and child.name.endswith("Config"):
+                fields[name] = tuple(f.target.id for f in child.body
+                                     if isinstance(f, ast.AnnAssign))
+            visit(child, f"{name}." if scoped else prefix)
+
+    visit(ast.parse(source), f"{module}.")
+    return defaulted, fields
+
+
+def test_settable_surface_is_pinned():
+    defaulted, fields = {}, {}
+    for path in PACKAGE:
+        d, f = settable_values(path.read_text(encoding="utf-8"), path.stem)
+        defaulted.update(d)
+        fields.update(f)
+    assert defaulted == DEFAULTED
+    assert fields == CONFIG_FIELDS
+
+
+def test_settable_scan_names_each_form():
+    source = ("def f(a, b=1, *args, c, d=2, **kw):\n    g = lambda x, y=0: x\n"
+              "    def inner(z=3):\n        pass\n"
+              "class C:\n    def m(self, e=4):\n        pass\n"
+              "class RunConfig:\n    n: int = 1\n    seed: int\n    def h(self): pass\n"
+              "def plain(a, *, b):\n    pass\n")
+    assert settable_values(source, "mod") == (
+        {"mod.f": ("b", "d"), "mod.f.<lambda>": ("y",), "mod.f.inner": ("z",),
+         "mod.C.m": ("e",)},
+        {"mod.RunConfig": ("n", "seed")})

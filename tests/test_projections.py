@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import floyd_warshall_hungarian, lexicographic_hungarian, unrolled_sinkhorn
+from oracles import (floyd_warshall_hungarian, lexicographic_hungarian, sinkhorn_rounds,
+                     unrolled_sinkhorn)
 from quadmatch import autodiff as ad
 from quadmatch import projections
 from quadmatch.errors import InvalidInputError
@@ -44,7 +45,7 @@ class TestSinkhorn:
     def test_2x2_closed_form(self):
         # limit of [[a,b],[c,d]] puts sqrt(ad)/(sqrt(ad)+sqrt(bc)) on the diagonal
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        res = sinkhorn(np.log(m), max_iter=500)
+        res = sinkhorn(np.log(m))
         expected = np.sqrt(1 * 4) / (np.sqrt(1 * 4) + np.sqrt(2 * 3))
         np.testing.assert_allclose(res.matrix[0, 0], expected, atol=1e-8)
         np.testing.assert_allclose(res.matrix[1, 1], expected, atol=1e-8)
@@ -56,7 +57,8 @@ class TestSinkhorn:
     @given(n=st.integers(1, 32), seed=st.integers(0, 10_000))
     def test_row_col_sums(self, n, seed):
         m = positive_matrix(np.random.default_rng(seed), n)
-        out = ad.value(sinkhorn(np.log(m), max_iter=500).matrix)
+        with sinkhorn_rounds(500):
+            out = ad.value(sinkhorn(np.log(m)).matrix)
         np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-6)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(out > 0.0)
@@ -65,18 +67,18 @@ class TestSinkhorn:
            scale=st.floats(1e-3, 1e3))
     def test_scale_invariance(self, n, seed, scale):
         m = positive_matrix(np.random.default_rng(seed), n)
-        a = ad.value(sinkhorn(np.log(m), max_iter=500).matrix)
-        b = ad.value(sinkhorn(np.log(scale * m), max_iter=500).matrix)
+        a = ad.value(sinkhorn(np.log(m)).matrix)
+        b = ad.value(sinkhorn(np.log(scale * m)).matrix)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_log_input_matches_linear(self, rng):
         # the same rounds of plain row and column division on the matrix itself
         m = positive_matrix(rng, 6)
         x = m.copy()
-        for _ in range(200):
+        for _ in range(SINKHORN_MAX_ITER):
             x /= x.sum(axis=1, keepdims=True)
             x /= x.sum(axis=0, keepdims=True)
-        np.testing.assert_allclose(sinkhorn(np.log(m), max_iter=200).matrix, x, atol=1e-12)
+        np.testing.assert_allclose(sinkhorn(np.log(m)).matrix, x, atol=1e-12)
 
     def test_nonpositive_entry_rejected(self):
         # the logs of a zero and of a negative entry: -inf and NaN
@@ -101,85 +103,88 @@ class TestSinkhorn:
             sinkhorn(np.zeros((2, 3)))
 
     def test_fixed_iteration_mode(self):
-        res = sinkhorn(np.log(np.array([[1.0, 2.0], [3.0, 4.0]])), max_iter=7)
+        # this matrix reaches a bitwise fixed point in 10 rounds
+        with sinkhorn_rounds(7):
+            res = sinkhorn(np.log(np.array([[1.0, 2.0], [3.0, 4.0]])))
         assert res.iterations == 7
 
     @pytest.mark.parametrize("case", ["zeros", "single", "normalized", "converging"])
     def test_fixed_point_stop(self, case):
         # off the tape a round that ends on the bytes it started from ends
         # the loop; the tape runs every round, and both give the oracle's bits
-        normalized = sinkhorn(np.log(positive_matrix(np.random.default_rng(1), 6)), max_iter=500)
-        log_m, max_iter = {
+        with sinkhorn_rounds(500):
+            normalized = sinkhorn(np.log(positive_matrix(np.random.default_rng(1), 6)))
+        # the converging input needs 67 rounds to reach its fixed point
+        log_m, rounds = {
             "zeros": (np.zeros((5, 5)), SINKHORN_MAX_ITER),
             "single": (np.log(np.array([[7.0]])), SINKHORN_MAX_ITER),
             "normalized": (np.log(normalized.matrix), SINKHORN_MAX_ITER),
             "converging": (np.random.default_rng(0).normal(scale=3.0, size=(6, 6)), 500),
         }[case]
-        res = sinkhorn(log_m, max_iter=max_iter)
-        assert 0 < res.iterations < max_iter
-        tape = sinkhorn(ad.Var(log_m), max_iter=max_iter)
-        assert tape.iterations == max_iter
-        oracle = unrolled_sinkhorn(log_m, max_iter=max_iter).matrix
+        with sinkhorn_rounds(rounds):
+            res = sinkhorn(log_m)
+            tape = sinkhorn(ad.Var(log_m))
+            oracle = unrolled_sinkhorn(log_m).matrix
+        assert 0 < res.iterations < rounds
+        assert tape.iterations == rounds
         assert res.matrix.tobytes() == ad.value(tape.matrix).tobytes() == oracle.tobytes()
-
-    def test_zero_rounds_is_exp(self, rng):
-        log_m = rng.normal(scale=3.0, size=(5, 5))
-        res = sinkhorn(log_m, max_iter=0)
-        assert res.iterations == 0
-        assert res.matrix.tobytes() == np.exp(log_m).tobytes()
 
     # from n = 3 on, no seed tried reaches a bitwise fixed point in 10 rounds
     # (a 2 x 2 with a dominant diagonal can)
-    @given(n=st.integers(3, 24), max_iter=st.integers(0, 10), seed=st.integers(0, 10_000))
-    def test_random_input_runs_every_round(self, n, max_iter, seed):
+    @given(n=st.integers(3, 24), rounds=st.integers(1, 10), seed=st.integers(0, 10_000))
+    def test_random_input_runs_every_round(self, n, rounds, seed):
         log_m = np.random.default_rng(seed).normal(scale=3.0, size=(n, n))
-        assert sinkhorn(log_m, max_iter=max_iter).iterations == max_iter
+        with sinkhorn_rounds(rounds):
+            assert sinkhorn(log_m).iterations == rounds
 
     def test_allocation_floor(self, rng):
-        # off the tape a call allocates the same few arrays whatever max_iter
-        # is; on the tape it adds one (2 * max_iter, n, n) block of iterates
+        # off the tape a call allocates the same few arrays whatever the round
+        # count is; on the tape it adds one (2 * rounds, n, n) block of iterates
         # and no array per half-step
         n = 6
         log_m = rng.normal(scale=3.0, size=(n, n))
 
         # numpy's first call on each branch fills caches that later calls
         # reuse; pay for them before measuring
-        sinkhorn(log_m, max_iter=1)
-        sinkhorn(ad.Var(log_m), max_iter=1)
+        with sinkhorn_rounds(1):
+            sinkhorn(log_m)
+            sinkhorn(ad.Var(log_m))
 
-        def peak(arg, max_iter):
-            tracemalloc.start()
-            try:
-                sinkhorn(arg, max_iter=max_iter)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        def peak(arg, rounds):
+            with sinkhorn_rounds(rounds):
+                tracemalloc.start()
+                try:
+                    sinkhorn(arg)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
 
         assert peak(log_m, 200) <= peak(log_m, 5)
         block = 2 * (200 - 5) * n * n * 8
         growth = peak(ad.Var(log_m), 200) - peak(ad.Var(log_m), 5)
         assert abs(growth - block) < 0.05 * block
 
-    @given(n=st.integers(1, 24), through_log=st.booleans(), max_iter=st.integers(0, 60),
+    @given(n=st.integers(1, 24), through_log=st.booleans(), rounds=st.integers(1, 60),
            seed=st.integers(0, 10_000))
-    def test_tape_matches_unrolled_oracle(self, n, through_log, max_iter, seed):
+    def test_tape_matches_unrolled_oracle(self, n, through_log, rounds, seed):
         # the input is a raw log matrix, or the ad.log of a positive one as
         # in the Frank-Wolfe re-projection
         rng = np.random.default_rng(seed)
         m = positive_matrix(rng, n) if through_log else rng.normal(scale=3.0, size=(n, n))
         weight, other = rng.normal(size=(2, n, n))
         results = []
-        for fn in (sinkhorn, unrolled_sinkhorn):
-            leaf = ad.Var(m)
-            res = fn(ad.log(leaf) if through_log else leaf, max_iter=max_iter)
-            # a second use of the input, as the affinity's log matrix has
-            ad.asum(res.matrix * weight + leaf * other).backward()
-            results.append((ad.value(res.matrix), res.iterations, leaf.grad))
+        with sinkhorn_rounds(rounds):
+            for fn in (sinkhorn, unrolled_sinkhorn):
+                leaf = ad.Var(m)
+                res = fn(ad.log(leaf) if through_log else leaf)
+                # a second use of the input, as the affinity's log matrix has
+                ad.asum(res.matrix * weight + leaf * other).backward()
+                results.append((ad.value(res.matrix), res.iterations, leaf.grad))
+            plain = sinkhorn(np.log(m) if through_log else m).matrix
         (x, its, grad), (x_o, its_o, grad_o) = results
         np.testing.assert_array_equal(x, x_o)
-        assert its == its_o == max_iter
+        assert its == its_o == rounds
         np.testing.assert_array_equal(grad, grad_o)
-        plain = sinkhorn(np.log(m) if through_log else m, max_iter=max_iter).matrix
         assert isinstance(plain, np.ndarray)
         np.testing.assert_array_equal(plain, x_o)
 
@@ -191,7 +196,7 @@ class TestSinkhorn:
         leaf = ad.Var(m) if on_tape else m
         arg = ad.log(leaf) if through_log else leaf
         before, arg_before = m.copy(), ad.value(arg).copy()
-        res = sinkhorn(arg, max_iter=10)
+        res = sinkhorn(arg)
         if on_tape:
             ad.asum(res.matrix * rng.normal(size=(6, 6))).backward()
         np.testing.assert_array_equal(m, before)  # a Var's data is m itself
@@ -199,7 +204,7 @@ class TestSinkhorn:
 
     def test_tape_result_is_one_node(self, rng):
         leaf = ad.Var(rng.normal(size=(4, 4)))
-        out = sinkhorn(leaf, max_iter=20).matrix
+        out = sinkhorn(leaf).matrix
         assert isinstance(out, ad.Var)
         assert ad._toposort(out) == [leaf, out]
 
