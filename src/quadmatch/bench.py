@@ -22,7 +22,8 @@ from .files import csv_text, json_text
 from .graphs import Graph, GraphPair, assemble_attributes
 from .losses import accuracy, f1_score, matrix_to_permutation, permutation_to_matrix
 from .projections import hungarian
-from .qap import QapInstance, SolveTrace, frank_wolfe_infer, frank_wolfe_train, objective
+from .qap import (FW_TRAIN_INNER, FW_TRAIN_OUTER, QapInstance, SolveTrace, frank_wolfe_infer,
+                  frank_wolfe_train, objective)
 from .refine import ParameterSet, check_widths, forward
 from .synth import inject_outliers
 
@@ -91,16 +92,17 @@ def _check_variant(variant: str) -> None:
         raise InvalidInputError(f"variant must be one of {VARIANTS}")
 
 
-def match_pair(pair: GraphPair, params: ParameterSet, variant: str = "full") -> MatchResult:
+def match_pair(pair: GraphPair, params: ParameterSet, variant: str) -> MatchResult:
     """Run one inference variant on one pair and score it against the truth.
 
     Every variant starts from ``forward`` and differs from ``full`` in one
     place: ``no_prior`` zeroes the coordinate columns of the inputs,
     ``no_pairwise`` scores the plain 0/1 adjacencies in place of the refined
     weighted ones, and ``no_qc`` rounds the Sinkhorn start with Hungarian and
-    solves nothing. The others run at the pinned inference settings:
-    ``frank_wolfe_train`` at its defaults (m1=3 rounds of m2=5 smooth steps
-    at tau=1.0) as a warm start, then ``frank_wolfe_infer``.
+    solves nothing. The others run at the pinned inference settings, which
+    this call passes: a ``frank_wolfe_train`` warm start of m1=3 rounds
+    (``FW_TRAIN_OUTER``) of m2=5 smooth steps (``FW_TRAIN_INNER``) at
+    tau=1.0, then ``frank_wolfe_infer``.
     """
     _check_variant(variant)
     if variant == "no_prior":
@@ -111,7 +113,8 @@ def match_pair(pair: GraphPair, params: ParameterSet, variant: str = "full") -> 
     if variant == "no_qc":
         matrix, trace = hungarian(start), SolveTrace()
     else:
-        matrix, trace = frank_wolfe_infer(frank_wolfe_train(start, inst), inst)
+        matrix, trace = frank_wolfe_infer(
+            frank_wolfe_train(start, inst, FW_TRAIN_OUTER, FW_TRAIN_INNER, tau=1.0), inst)
     x_star = permutation_to_matrix(pair.gt)
     return MatchResult(
         permutation=matrix_to_permutation(matrix),
@@ -123,7 +126,7 @@ def match_pair(pair: GraphPair, params: ParameterSet, variant: str = "full") -> 
     )
 
 
-def evaluate_pairs(pairs, params: ParameterSet, variant: str = "full") -> VariantResult:
+def evaluate_pairs(pairs, params: ParameterSet, variant: str) -> VariantResult:
     """Mean metrics of one variant over a dataset; per-pair failures are
     counted and skipped rather than aborting the run. An unknown variant, or
     a pair whose attribute width the parameters do not take, is the
@@ -133,22 +136,16 @@ def evaluate_pairs(pairs, params: ParameterSet, variant: str = "full") -> Varian
     _check_variant(variant)
     check_widths(pairs, params)
     t0 = time.perf_counter()
-    accs, f1s, objs = [], [], []
-    failures = 0
+    scores = []
     for pair in pairs:
         try:
             r = match_pair(pair, params, variant)
         except (InvalidInputError, NumericalFailureError):
-            failures += 1
             continue
-        accs.append(r.accuracy)
-        f1s.append(r.f1)
-        objs.append(r.objective)
+        scores.append((r.accuracy, r.f1, r.objective))
     wall = time.perf_counter() - t0
-    if not accs:
-        return VariantResult(variant, len(pairs), failures, 0.0, 0.0, 0.0, wall)
-    return VariantResult(variant, len(pairs), failures, float(np.mean(accs)),
-                         float(np.mean(f1s)), float(np.mean(objs)), wall)
+    means = [float(np.mean(column)) for column in zip(*scores)] or [0.0, 0.0, 0.0]
+    return VariantResult(variant, len(pairs), len(pairs) - len(scores), *means, wall)
 
 
 def run_benchmark(pairs, params: ParameterSet) -> ExperimentReport:
@@ -156,7 +153,7 @@ def run_benchmark(pairs, params: ParameterSet) -> ExperimentReport:
     return ExperimentReport([evaluate_pairs(pairs, params, v) for v in VARIANTS])
 
 
-def outlier_sweep(pairs, params: ParameterSet, *, seed: int = 0) -> list[dict]:
+def outlier_sweep(pairs, params: ParameterSet, *, seed: int) -> list[dict]:
     """Accuracy/F1 of the full pipeline as k = ``SWEEP_KS`` outliers are
     injected into each graph.
 

@@ -14,10 +14,11 @@ bench-robust sweeps the pairs of a dataset file at k = 0-4 injected outliers
 per graph, drawn at sigma = 10 (bench.SWEEP_KS, synth.OUTLIER_SIGMA); its
 --seed seeds only the outlier injection.
 Inference (match, eval, bench-robust) runs at fixed solver settings: a
-smooth Frank-Wolfe warm start at m1=3, m2=5, tau=1.0, then at most 10
-discrete rounds of at most 50 Hungarian steps each; the run stops once a
-round's rounding repeats any earlier round's. Exit codes: 0 success, 1
-invalid input or usage, 2 numerical failure. Every output path is checked
+smooth Frank-Wolfe warm start at the settings bench.match_pair passes to
+frank_wolfe_train (m1=3, m2=5, tau=1.0), then at most 10 discrete rounds of
+at most 50 Hungarian steps each; the run stops once a round's rounding
+repeats any earlier round's. Exit codes: 0 success, 1 invalid input or
+usage, 2 numerical failure. Every output path is checked
 before any input is read, and an output flag may name neither the file of
 another output flag nor that of an input flag, so a run that exits 1 writes
 no file and no run overwrites its input; a training run that exits 2 still

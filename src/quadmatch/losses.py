@@ -42,7 +42,7 @@ def _check_shapes(x, x_star) -> np.ndarray:
     return xs
 
 
-def false_matching_loss(x, x_star, cfg: LossConfig = LossConfig()):
+def false_matching_loss(x, x_star, cfg: LossConfig):
     """exp(alpha * false-positive mass) + exp(beta * false-negative mass)."""
     xs = _check_shapes(x, x_star)
     s_plus = ad.asum(x * (1.0 - xs))
@@ -50,7 +50,7 @@ def false_matching_loss(x, x_star, cfg: LossConfig = LossConfig()):
     return ad.exp(cfg.alpha * s_plus) + ad.exp(cfg.beta * s_minus)
 
 
-def cross_entropy_loss(x, x_star, cfg: LossConfig = LossConfig()):
+def cross_entropy_loss(x, x_star, cfg: LossConfig):
     """Elementwise binary cross entropy against a 0/1 ground truth.
 
     Predictions are clamped into [clip_eps, 1 - clip_eps] before the log;
@@ -94,12 +94,15 @@ def f1_score(x_pred, x_star) -> float:
 
 def permutation_to_matrix(perm) -> np.ndarray:
     """Square n x n 0/1 matrix from a match vector of length n; -1 entries
-    give all-zero rows."""
+    give all-zero rows. A node index that appears twice raises
+    ``InvalidInputError``."""
     p = np.asarray(perm, dtype=int)
     if p.ndim != 1:
         raise InvalidInputError("permutation vector must be 1-D")
     if np.any(p >= p.size) or np.any(p < -1):
         raise InvalidInputError("permutation index out of range")
+    if np.unique(p[p >= 0]).size != np.count_nonzero(p >= 0):
+        raise InvalidInputError("permutation repeats a node index")
     out = np.zeros((p.size, p.size))
     out[p >= 0, p[p >= 0]] = 1.0
     return out

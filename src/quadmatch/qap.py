@@ -117,8 +117,7 @@ def fw_direction(x, inst: QapInstance, *, tau: float):
     return sinkhorn(log_dir).matrix
 
 
-def frank_wolfe_train(x0, inst: QapInstance, m1: int = FW_TRAIN_OUTER, m2: int = FW_TRAIN_INNER, *,
-                      tau: float = 1.0):
+def frank_wolfe_train(x0, inst: QapInstance, m1: int, m2: int, *, tau: float):
     """Differentiable Frank-Wolfe: m1 rounds of m2 smooth pursuit steps.
 
     Each inner step blends the iterate toward the soft direction with the

@@ -64,7 +64,7 @@ class ParameterSet:
         return dict(zip(self.names(self.n_layers), values))
 
     @classmethod
-    def from_tensors(cls, tensors, n_layers: int, seed: int | None = None) -> "ParameterSet":
+    def from_tensors(cls, tensors, n_layers: int, seed: int | None) -> "ParameterSet":
         """The set whose ``tensors()`` are the named entries of ``tensors``."""
         values = [tensors[name] for name in cls.names(n_layers)]
         return cls(tuple(values[0:-1:2]), tuple(values[1:-1:2]), values[-1], seed=seed)
@@ -106,7 +106,7 @@ class ParameterSet:
                 raise InvalidInputError(f"parameter {name} contains non-finite entries")
 
 
-def init_parameters(dim: int, n_layers: int = DEFAULT_LAYERS, seed: int = 0) -> ParameterSet:
+def init_parameters(dim: int, n_layers: int = DEFAULT_LAYERS, *, seed: int) -> ParameterSet:
     """Uniform [-s, s] init with s = 1/sqrt(dim).
 
     An identity is added to w_aff so the initial affinity favors attribute

@@ -115,12 +115,12 @@ def gen_dataset(cfg: SynthConfig, n_pairs: int) -> list[GraphPair]:
     return [gen_synthetic_pair(cfg, rng=np.random.default_rng(child)) for child in children]
 
 
-def easy_config(seed: int = 0, **overrides) -> SynthConfig:
+def easy_config(seed: int, **overrides) -> SynthConfig:
     """The easy class: ``SynthConfig``'s defaults."""
     return SynthConfig(seed=seed, **overrides)
 
 
-def ambiguous_config(seed: int = 0, **overrides) -> SynthConfig:
+def ambiguous_config(seed: int, **overrides) -> SynthConfig:
     """Duplicated prototypes and a rotated partner graph: features and
     coordinates cannot separate group members, Delaunay structure can."""
     base = dict(n_inliers=10, d=16, classes=2, feature_noise=0.05,

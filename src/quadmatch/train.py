@@ -117,9 +117,10 @@ def train(pairs: list[GraphPair], cfg: TrainConfig,
           params: ParameterSet | None = None) -> tuple[ParameterSet, TrainHistory]:
     """Per-pair SGD over a seeded shuffle of the dataset, one pass per epoch.
 
-    Every pair's attribute width is checked against the parameters before
-    the first step. A gradient whose norm exceeds ``GRAD_CAP`` is scaled
-    down to that norm before its step.
+    Every pair's attribute width, and the layer count of given ``params``
+    against ``cfg.n_layers``, is checked before the first step. A gradient
+    whose norm exceeds ``GRAD_CAP`` is scaled down to that norm before its
+    step.
 
     On a numerical failure the partial history is attached to the raised
     error. Identical (dataset, config) inputs give bit-identical histories.
@@ -130,6 +131,8 @@ def train(pairs: list[GraphPair], cfg: TrainConfig,
         dim = pairs[0].a.attributes.shape[1]
         params = init_parameters(dim, n_layers=cfg.n_layers, seed=cfg.seed)
     params.validate()
+    if params.n_layers != cfg.n_layers:
+        raise InvalidInputError(f"params.n_layers {params.n_layers} != cfg.n_layers {cfg.n_layers}")
     check_widths(pairs, params)
     history = TrainHistory()
     rng = np.random.default_rng(cfg.seed)

@@ -40,3 +40,24 @@ def test_workload_sets_up_and_runs(workloads, name):
     else:
         cfg = workloads.train_config(spec, 1)
         assert cfg == state["train_cfg"] and cfg.epochs == spec["epochs"]
+
+
+# each workload's traced work at seed 1, as the benchmark digests it; a change
+# that moves an answer bit moves one of these
+DIGESTS = {"infer-ambiguous": "041fe673ed1451c3", "train-easy": "6271d756dee55b85",
+           "infer-outliers": "d0464049e20554b5"}
+TRAIN_EASY_LAST_LOSS = 27647.866939344083
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_answers_are_pinned(workloads, name):
+    spec = WORKLOADS[name]
+    state = workloads.setup(spec, 1)
+    run = workloads.Run()
+    if spec["kind"] == "infer":
+        workloads.infer_loop(spec, state, run, seconds=0.0, n_pairs=spec["trace_pairs"])
+    else:
+        workloads.train_loop(spec, state, run, seconds=0.0, sessions=1)
+        assert run.answers["session"][1].mean_loss == TRAIN_EASY_LAST_LOSS
+    assert run.problems == [] and run.failed == 0
+    assert workloads.answer_digest(spec, run) == DIGESTS[name]

@@ -35,17 +35,8 @@ CLI_IMPORTERS = {"__main__.py"}
 DEFAULTED = {
     "autodiff.Var.__init__": ("parents", "backward"),
     "autodiff.asum": ("axis", "keepdims"),
-    "bench.match_pair": ("variant",),
-    "bench.evaluate_pairs": ("variant",),
-    "bench.outlier_sweep": ("seed",),
     "cli.main": ("argv",),
-    "losses.false_matching_loss": ("cfg",),
-    "losses.cross_entropy_loss": ("cfg",),
-    "qap.frank_wolfe_train": ("m1", "m2", "tau"),
-    "refine.ParameterSet.from_tensors": ("seed",),
-    "refine.init_parameters": ("n_layers", "seed"),
-    "synth.easy_config": ("seed",),
-    "synth.ambiguous_config": ("seed",),
+    "refine.init_parameters": ("n_layers",),
     "train.train": ("params",),
 }
 CONFIG_FIELDS = {

@@ -26,10 +26,11 @@ def random_perm_matrix(seed, n):
 class TestFalseMatchingLoss:
     def test_exact_match_gives_two(self):
         x_star = random_perm_matrix(3, 5)
-        assert false_matching_loss(x_star, x_star) == pytest.approx(2.0)
+        assert false_matching_loss(x_star, x_star, LossConfig()) == pytest.approx(2.0)
 
     def test_one_by_one(self):
-        assert false_matching_loss(np.ones((1, 1)), np.ones((1, 1))) == pytest.approx(2.0)
+        assert false_matching_loss(np.ones((1, 1)), np.ones((1, 1)),
+                                   LossConfig()) == pytest.approx(2.0)
 
     def test_single_row_example(self):
         cfg = LossConfig(alpha=2.0, beta=0.1)
@@ -50,11 +51,11 @@ class TestFalseMatchingLoss:
     def test_equality_iff_exact(self):
         x_star = random_perm_matrix(7, 4)
         x = random_ds(8, 4)
-        assert false_matching_loss(x, x_star) > 2.0
+        assert false_matching_loss(x, x_star, LossConfig()) > 2.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
-            false_matching_loss(np.eye(3), np.eye(4))
+            false_matching_loss(np.eye(3), np.eye(4), LossConfig())
 
 
 class TestFalseMatchingGrad:
@@ -107,7 +108,7 @@ class TestCrossEntropyLoss:
         x = np.full((n, n), 1.0 / n)
         x_star = random_perm_matrix(9, n)
         expected = -(n * np.log(1 / n) + (n * n - n) * np.log(1 - 1 / n))
-        assert cross_entropy_loss(x, x_star) == pytest.approx(expected)
+        assert cross_entropy_loss(x, x_star, LossConfig()) == pytest.approx(expected)
 
     def test_divergence_when_unclamped(self):
         # disjoint permutation: prediction mass sits exactly on wrong entries
@@ -205,6 +206,12 @@ class TestMetrics:
         # the matrix is square, so a vector of length 3 names columns 0..2
         with pytest.raises(InvalidInputError, match="out of range"):
             permutation_to_matrix([0, 1, 3])
+
+    @pytest.mark.parametrize("vec", [[0, 0, 1], [2, -1, 2]])
+    def test_repeated_index_rejected(self, vec):
+        # a column with two 1s would score against the identity as 1/3
+        with pytest.raises(InvalidInputError, match="repeats"):
+            permutation_to_matrix(vec)
 
     @given(seed=st.integers(0, 2_000), n=st.integers(0, 8))
     def test_matches_entrywise_reference(self, seed, n):

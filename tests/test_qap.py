@@ -183,7 +183,7 @@ class TestFrankWolfeTrain:
     def test_zero_rounds_returns_input(self, rng):
         inst = random_instance(rng, 4)
         x0 = random_doubly_stochastic(rng, 4)
-        assert frank_wolfe_train(x0, inst, m1=0, m2=5) is x0
+        assert frank_wolfe_train(x0, inst, m1=0, m2=5, tau=1.0) is x0
 
     def test_unary_only_objective_non_increasing(self, rng):
         # with zero adjacencies the direction is constant; the objective
@@ -198,7 +198,7 @@ class TestFrankWolfeTrain:
     def test_output_doubly_stochastic(self, rng):
         inst = random_instance(rng, 6)
         x0 = random_doubly_stochastic(rng, 6)
-        xv = ad.value(frank_wolfe_train(x0, inst))
+        xv = ad.value(frank_wolfe_train(x0, inst, qap.FW_TRAIN_OUTER, qap.FW_TRAIN_INNER, tau=1.0))
         np.testing.assert_allclose(xv.sum(axis=0), 1.0, atol=1e-5)
         np.testing.assert_allclose(xv.sum(axis=1), 1.0, atol=1e-5)
 
@@ -213,14 +213,14 @@ class TestFrankWolfeTrain:
         x_u = 5.0 * perm + 0.1
         inst = QapInstance(a, b, x_u)
         x0 = ad.value(sinkhorn(np.log(np.full((n, n), 1.0) + 0.1 * perm)).matrix)
-        x = frank_wolfe_train(x0, inst, tau=0.1)
+        x = frank_wolfe_train(x0, inst, qap.FW_TRAIN_OUTER, qap.FW_TRAIN_INNER, tau=0.1)
         np.testing.assert_array_equal(hungarian(ad.value(x)), perm)
 
     def test_determinism(self, rng):
         inst = random_instance(rng, 5)
         x0 = random_doubly_stochastic(rng, 5)
-        x1 = frank_wolfe_train(x0, inst)
-        x2 = frank_wolfe_train(x0.copy(), inst)
+        x1 = frank_wolfe_train(x0, inst, qap.FW_TRAIN_OUTER, qap.FW_TRAIN_INNER, tau=1.0)
+        x2 = frank_wolfe_train(x0.copy(), inst, qap.FW_TRAIN_OUTER, qap.FW_TRAIN_INNER, tau=1.0)
         np.testing.assert_array_equal(ad.value(x1), ad.value(x2))
 
 
@@ -322,7 +322,8 @@ class TestFrankWolfeInfer:
         # the oracle's one-back test replays the cycle through all 10 rounds
         pair = gen_dataset(ambiguous_config(seed=1), 12)[0]
         start, inst = forward(pair, init_parameters(18, 2, seed=1))
-        x0 = ad.value(frank_wolfe_train(start, inst))
+        x0 = ad.value(frank_wolfe_train(start, inst, qap.FW_TRAIN_OUTER, qap.FW_TRAIN_INNER,
+                                        tau=1.0))
         out_o, trace_o = stepwise_frank_wolfe_infer(x0, inst)
         calls = []
 

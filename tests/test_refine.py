@@ -170,7 +170,7 @@ class TestParameterSet:
         p2 = init_parameters(6, n_layers=2, seed=9)
         assert p1.dim == 6 and p1.n_layers == 2
         np.testing.assert_array_equal(p1.w_aff, p2.w_aff)
-        assert not np.array_equal(p1.w_r[0], init_parameters(6, 2, 10).w_r[0])
+        assert not np.array_equal(p1.w_r[0], init_parameters(6, 2, seed=10).w_r[0])
 
     def test_flatten_roundtrip(self):
         p = init_parameters(4, n_layers=2, seed=1)

@@ -44,13 +44,16 @@ class TestForward:
         np.testing.assert_allclose(ad.value(start), expected, atol=1e-12)
 
     def test_output_doubly_stochastic(self, pair, params):
-        x = ad.value(frank_wolfe_train(*forward(pair, params)))
+        x = ad.value(frank_wolfe_train(*forward(pair, params),
+                                       qap.FW_TRAIN_OUTER, qap.FW_TRAIN_INNER, tau=1.0))
         np.testing.assert_allclose(x.sum(axis=0), 1.0, atol=1e-5)
         np.testing.assert_allclose(x.sum(axis=1), 1.0, atol=1e-5)
 
     def test_deterministic(self, pair, params):
-        a = ad.value(frank_wolfe_train(*forward(pair, params)))
-        b = ad.value(frank_wolfe_train(*forward(pair, params)))
+        a = ad.value(frank_wolfe_train(*forward(pair, params),
+                                       qap.FW_TRAIN_OUTER, qap.FW_TRAIN_INNER, tau=1.0))
+        b = ad.value(frank_wolfe_train(*forward(pair, params),
+                                       qap.FW_TRAIN_OUTER, qap.FW_TRAIN_INNER, tau=1.0))
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
@@ -60,7 +63,8 @@ class TestForward:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="tau"):
-                frank_wolfe_train(*forward(pair, params), tau=tau)
+                frank_wolfe_train(*forward(pair, params), qap.FW_TRAIN_OUTER, qap.FW_TRAIN_INNER,
+                                  tau=tau)
 
 
 class TestGradParams:
@@ -105,7 +109,8 @@ class TestGradParams:
     def test_assignment_is_the_forward_map(self, pair, params):
         # training differentiates the very map inference evaluates
         _, _, x = grad_params(pair, params, GRAD_CFG)
-        np.testing.assert_array_equal(x, frank_wolfe_train(*forward(pair, params), 1, 2))
+        np.testing.assert_array_equal(x, frank_wolfe_train(*forward(pair, params), 1, 2,
+                                                           tau=1.0))
 
     def test_gradient_is_flat_in_parameter_order(self, pair, params):
         # the finite-difference tests pin the order entry by entry
@@ -180,6 +185,11 @@ class TestTrainLoop:
         with pytest.raises(InvalidInputError):
             train([], TrainConfig(epochs=1))
 
+    def test_layer_count_mismatch_rejected(self, pair, params):
+        # a 1-layer set under a 0-layer config would otherwise train 1 layer
+        with pytest.raises(InvalidInputError, match="params.n_layers 1 != cfg.n_layers 0"):
+            train([pair], TrainConfig(epochs=1, n_layers=0), params)
+
     def test_history_csv_shape(self):
         pairs = gen_dataset(easy_config(seed=3, n_inliers=5, d=4, classes=5), 2)
         _, history = train(pairs, TrainConfig(epochs=3, seed=0, n_layers=1))
@@ -209,7 +219,7 @@ class TestTrainLoop:
     def test_step_norm_is_capped(self, pair, params, loss, clipped):
         # at the fixture's start the false-matching gradient norm is about
         # 436, the cross-entropy one about 14
-        cfg = TrainConfig(epochs=1, m1=1, m2=2, loss=loss)
+        cfg = TrainConfig(epochs=1, m1=1, m2=2, loss=loss, n_layers=1)
         grad, _, _ = grad_params(pair, params, cfg)
         assert (np.linalg.norm(grad) > GRAD_CAP) == clipped
         trained, _ = train([pair], cfg, params)
