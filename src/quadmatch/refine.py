@@ -11,12 +11,11 @@ solver, and each side hands its output to its own Frank-Wolfe mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InvalidInputError, prefixed, require_ints, require_seed
+from .errors import InvalidInputError, NumericalFailureError, prefixed, require_seed
 from .files import float_array, json_text, read_json, write_text
 from .graphs import GraphPair, weighted_adjacency
 from .projections import sinkhorn
@@ -30,9 +29,7 @@ class ParameterSet:
     """All learnable weights: per-layer GCN matrices plus the affinity metric.
 
     ``w_r[l]`` mixes neighbor attributes, ``w_s[l]`` the node's own; both are
-    square in the attribute dimension, as is ``w_aff``. ``seed`` records the
-    RNG seed used at initialization; sets derived through ``replace_flat``
-    carry the seed of the set they were derived from. The checkpoint names
+    square in the attribute dimension, as is ``w_aff``. The checkpoint names
     and the flat layout are the order of ``names``, spelled there only;
     every derived set is rebuilt from a mapping of those names by
     ``from_tensors``. Gradients are flat vectors in ``flatten`` order, and
@@ -42,7 +39,6 @@ class ParameterSet:
     w_r: tuple
     w_s: tuple
     w_aff: object
-    seed: int | None = None
 
     @property
     def n_layers(self) -> int:
@@ -64,10 +60,10 @@ class ParameterSet:
         return dict(zip(self.names(self.n_layers), values))
 
     @classmethod
-    def from_tensors(cls, tensors, n_layers: int, seed: int | None) -> "ParameterSet":
+    def from_tensors(cls, tensors, n_layers: int) -> "ParameterSet":
         """The set whose ``tensors()`` are the named entries of ``tensors``."""
         values = [tensors[name] for name in cls.names(n_layers)]
-        return cls(tuple(values[0:-1:2]), tuple(values[1:-1:2]), values[-1], seed=seed)
+        return cls(tuple(values[0:-1:2]), tuple(values[1:-1:2]), values[-1])
 
     def flatten(self) -> np.ndarray:
         return np.concatenate([ad.value(t).ravel() for t in self.tensors().values()])
@@ -83,13 +79,12 @@ class ParameterSet:
             raise InvalidInputError(f"parameter vector has {flat.size} entries, not {ends[-1]}")
         parts = np.split(flat, ends[:-1])
         out = {name: part.reshape(ref.shape) for (name, ref), part in zip(refs.items(), parts)}
-        return ParameterSet.from_tensors(out, self.n_layers, seed=self.seed)
+        return ParameterSet.from_tensors(out, self.n_layers)
 
     def lift(self) -> tuple["ParameterSet", list]:
         """Copy onto the autodiff tape; returns the lifted set and its leaves."""
         leaves = {name: ad.Var(ad.value(t)) for name, t in self.tensors().items()}
-        return (ParameterSet.from_tensors(leaves, self.n_layers, seed=self.seed),
-                list(leaves.values()))
+        return ParameterSet.from_tensors(leaves, self.n_layers), list(leaves.values())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.flatten()))
@@ -125,42 +120,31 @@ def init_parameters(dim: int, n_layers: int = DEFAULT_LAYERS, *, seed: int) -> P
         w_r.append(rng.uniform(-s, s, size=(dim, dim)))
         w_s.append(rng.uniform(-s, s, size=(dim, dim)) + np.eye(dim))
     w_aff = rng.uniform(-s, s, size=(dim, dim)) + np.eye(dim)
-    return ParameterSet(tuple(w_r), tuple(w_s), w_aff, seed=seed)
+    return ParameterSet(tuple(w_r), tuple(w_s), w_aff)
 
 
 def save_parameters(params: ParameterSet, path) -> None:
-    obj = {
-        "dim": params.dim,
-        "n_layers": params.n_layers,
-        "seed": params.seed,
-        "tensors": {k: ad.value(v).tolist() for k, v in params.tensors().items()},
-    }
-    write_text(path, json_text(obj))
+    tensors = {k: ad.value(v).tolist() for k, v in params.tensors().items()}
+    write_text(path, json_text({"tensors": tensors}))
 
 
 def load_parameters(path) -> ParameterSet:
-    """Read a checkpoint whose header agrees with its tensors: ``n_layers``
-    an integer >= 0 whose ``names`` are exactly the tensors held, ``dim``
-    the width of ``w_aff``, and ``seed`` an integer or null."""
+    """Read a checkpoint's named tensors. Its layer count is half their
+    number, rounded down, and they must be exactly that count's ``names``;
+    its width is ``w_aff``'s. Other top-level keys, such as the ``dim``,
+    ``n_layers`` and ``seed`` that older checkpoints carry, are ignored."""
     obj = read_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("tensors"), dict):
         raise InvalidInputError("malformed checkpoint: it must be a JSON object with a "
                                 "'tensors' object")
-    header = SimpleNamespace(dim=obj.get("dim"), n_layers=obj.get("n_layers"), seed=obj.get("seed"))
-    require_ints(header, ("dim", "n_layers") if header.seed is None else ("dim", "n_layers", "seed"))
-    if header.n_layers < 0:
-        raise InvalidInputError(f"n_layers must be >= 0, got {header.n_layers}")
-    held, count = sorted(obj["tensors"]), 2 * header.n_layers + 1
-    # the count first, so that a huge n_layers spells no names
-    if len(held) != count or held != sorted(ParameterSet.names(header.n_layers)):
-        raise InvalidInputError(f"checkpoint tensors {held} are not the {count} "
-                                f"named by n_layers {header.n_layers}")
+    n_layers = len(obj["tensors"]) // 2
+    held, named = sorted(obj["tensors"]), sorted(ParameterSet.names(n_layers))
+    if held != named:
+        raise InvalidInputError(f"checkpoint tensors {held} are not {named}")
     tensors = {name: float_array(t, f"malformed checkpoint: tensor {name!r}")
                for name, t in obj["tensors"].items()}
-    params = ParameterSet.from_tensors(tensors, header.n_layers, seed=header.seed)
+    params = ParameterSet.from_tensors(tensors, n_layers)
     params.validate()
-    if header.dim != params.dim:
-        raise InvalidInputError(f"checkpoint dim {header.dim} is not w_aff's width {params.dim}")
     return params
 
 
@@ -195,7 +179,9 @@ def node_affinity(p_a, p_b, w_aff):
     Returns the exponent shifted down by its global maximum, so every entry
     is finite and at most 0; the single global shift leaves the Sinkhorn
     fixed point unchanged, and the affinity itself is its ``exp``, which may
-    underflow to 0 where the log does not.
+    underflow to 0 where the log does not. An exponent that overflows (weights
+    blown up by training) raises ``NumericalFailureError`` at stage
+    ``"forward"``.
     """
     pa, pb, w = ad.value(p_a), ad.value(p_b), ad.value(w_aff)
     if pa.shape[1] != w.shape[0] or pb.shape[1] != w.shape[1]:
@@ -203,7 +189,7 @@ def node_affinity(p_a, p_b, w_aff):
     with np.errstate(over="ignore", invalid="ignore"):
         exponent = (p_a @ w_aff) @ ad.transpose(p_b)
     if not np.all(np.isfinite(ad.value(exponent))):
-        raise InvalidInputError("affinity exponent is not finite")
+        raise NumericalFailureError("affinity exponent is not finite", stage="forward")
     return exponent - ad.amax(exponent)
 
 

@@ -1,5 +1,6 @@
 """Graph construction: coordinate normalization, Delaunay topology, kernels."""
 
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quadmatch import graphs
 from quadmatch.errors import InvalidInputError
 from quadmatch.graphs import (KERNEL_EPS, GraphPair, KeypointSet, assemble_attributes,
                               build_graph, delaunay_adjacency, linear_kernel, make_pair,
@@ -67,6 +69,14 @@ class TestNormalizeCoordinates:
         with pytest.raises(InvalidInputError):
             normalize_coordinates([(0.0, np.inf), (1.0, 2.0)])
 
+    @pytest.mark.parametrize("function", [normalize_coordinates, delaunay_adjacency],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 2, 2)], ids=["1d", "3_columns", "3d"])
+    def test_rejects_shape_not_n_by_2(self, function, shape):
+        message = re.escape(f"expected n x 2 coordinates, got shape {shape}")
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            function(np.zeros(shape))
+
     def test_range_overflow_rejected_without_warning(self):
         # every entry is finite, but max - min on the x axis is not
         with warnings.catch_warnings():
@@ -107,6 +117,25 @@ class TestDelaunayAdjacency:
         for a, b in [(0, 2), (2, 1), (1, 3)]:
             expected[a, b] = expected[b, a] = 1.0
         np.testing.assert_array_equal(adj, expected)
+
+    def test_qhull_failure_falls_back_to_path(self, monkeypatch):
+        # no point set that passes the collinearity test is known to make
+        # qhull fail, so the failure is patched in
+        def fail(points):
+            raise graphs.QhullError("QH6154 initial simplex is flat")
+
+        monkeypatch.setattr(graphs, "Delaunay", fail)
+        adj = delaunay_adjacency([(0, 0), (1, 0), (0.5, 1), (2, 0.2)])
+        # x is the longer axis: path 0-2-1-3 in x order
+        expected = np.zeros((4, 4))
+        for a, b in [(0, 2), (2, 1), (1, 3)]:
+            expected[a, b] = expected[b, a] = 1.0
+        np.testing.assert_array_equal(adj, expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(InvalidInputError, match="^coordinates must be finite$"):
+            delaunay_adjacency([(0.0, 0.0), (1.0, bad), (0.5, 1.0)])
 
     def test_coincident_points_fall_back(self):
         adj = delaunay_adjacency([(1.0, 1.0)] * 4)
@@ -187,6 +216,10 @@ class TestLinearKernel:
         np.testing.assert_allclose(k[0, 1], 1 / ((np.sqrt(2) + KERNEL_EPS) * (1 + KERNEL_EPS)),
                                    atol=1e-12)
 
+    def test_rejects_1d(self):
+        with pytest.raises(InvalidInputError, match="^attribute matrix must be 2-D$"):
+            linear_kernel(np.ones(3))
+
     def test_eps_allows_zero_rows(self):
         # KERNEL_EPS keeps a zero row finite: it gives an exact zero kernel row and column
         k = linear_kernel(np.array([[1.0, 0.0], [0.0, 0.0]]))
@@ -209,6 +242,11 @@ class TestWeightedAdjacency:
         adj = delaunay_adjacency(rng.uniform(size=(4, 2)))
         np.testing.assert_allclose(weighted_adjacency(p, adj),
                                    shrink(np.linalg.norm(p[0])) ** 2 * adj, atol=1e-12)
+
+    def test_size_mismatch_rejected(self, rng):
+        with pytest.raises(InvalidInputError,
+                           match="^adjacency size does not match attribute rows$"):
+            weighted_adjacency(rng.normal(size=(4, 3)), np.zeros((3, 3)))
 
     def test_zero_mask_annihilates(self, rng):
         p = rng.normal(size=(4, 3))

@@ -119,6 +119,10 @@ class TestInjectOutliers:
         with pytest.raises(TypeError):
             inject_outliers(small_pair(), 2)
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(InvalidInputError, match="^outlier count must be >= 0$"):
+            inject_outliers(small_pair(), -1, rng=np.random.default_rng(0))
+
 
 class TestDatasets:
     def test_generator_matches_golden_file(self, tmp_path):
@@ -162,6 +166,11 @@ class TestBenchmark:
     def test_empty_dataset_rejected(self, small_params):
         with pytest.raises(InvalidInputError):
             run_benchmark([], small_params)
+
+    def test_unknown_variant_row_raises(self, small_params):
+        report = run_benchmark(gen_dataset(small_cfg(), 1), small_params)
+        with pytest.raises(KeyError, match="^'ful'$"):
+            report.row("ful")
 
     def test_match_pair_scores(self, small_params):
         pair = small_pair(feature_noise=0.0, coord_jitter=0.0)

@@ -213,6 +213,14 @@ class TestMetrics:
         with pytest.raises(InvalidInputError, match="repeats"):
             permutation_to_matrix(vec)
 
+    def test_two_dimensional_vector_rejected(self):
+        with pytest.raises(InvalidInputError, match="^permutation vector must be 1-D$"):
+            permutation_to_matrix([[0, 1], [1, 0]])
+
+    def test_row_with_two_ones_rejected(self):
+        with pytest.raises(InvalidInputError, match="^matrix row selects more than one match$"):
+            matrix_to_permutation([[0.0, 1.0], [1.0, 1.0]])
+
     @given(seed=st.integers(0, 2_000), n=st.integers(0, 8))
     def test_matches_entrywise_reference(self, seed, n):
         rng = np.random.default_rng(seed)

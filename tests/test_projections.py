@@ -1,6 +1,7 @@
 """Sinkhorn and Hungarian against closed forms and brute-force oracles."""
 
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -346,6 +347,12 @@ class TestHungarian:
         # no tie: the second solve certifies the first
         hungarian(rng.normal(size=(24, 24)))
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0)], ids=["wide", "1d", "empty"])
+    def test_rejects_nonsquare(self, shape):
+        message = re.escape(f"hungarian expects a square matrix, got shape {shape}")
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            hungarian(np.ones(shape))
 
     def test_rejects_nonfinite(self):
         for bad in (np.nan, np.inf, -np.inf):

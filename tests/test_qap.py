@@ -90,6 +90,14 @@ class TestObjective:
         with pytest.raises(InvalidInputError):
             objective(np.eye(3), inst)
 
+    @pytest.mark.parametrize("shapes", [((3, 3), (4, 4), (3, 3)), ((3, 3), (3, 3), (3, 4)),
+                                        ((3, 4), (3, 4), (3, 4))],
+                             ids=["b_larger", "unary_wider", "not_square"])
+    def test_mismatched_sizes_rejected(self, shapes):
+        with pytest.raises(InvalidInputError,
+                           match="^instance matrices must be square and share one size$"):
+            QapInstance(*(np.zeros(shape) for shape in shapes))
+
     def test_asymmetric_adjacency_rejected(self, rng):
         m = rng.normal(size=(3, 3))
         with pytest.raises(InvalidInputError):
@@ -184,6 +192,12 @@ class TestFrankWolfeTrain:
         inst = random_instance(rng, 4)
         x0 = random_doubly_stochastic(rng, 4)
         assert frank_wolfe_train(x0, inst, m1=0, m2=5, tau=1.0) is x0
+
+    @pytest.mark.parametrize("m1,m2", [(-1, 5), (3, -1)])
+    def test_negative_rounds_rejected(self, rng, m1, m2):
+        inst = random_instance(rng, 4)
+        with pytest.raises(InvalidInputError, match="^iteration counts must be non-negative$"):
+            frank_wolfe_train(random_doubly_stochastic(rng, 4), inst, m1, m2, tau=1.0)
 
     def test_unary_only_objective_non_increasing(self, rng):
         # with zero adjacencies the direction is constant; the objective

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quadmatch import autodiff as ad
-from quadmatch.errors import InvalidInputError
+from quadmatch.errors import InvalidInputError, NumericalFailureError
 from quadmatch.graphs import delaunay_adjacency, weighted_adjacency
 from quadmatch.projections import hungarian, sinkhorn
 from quadmatch.refine import (ParameterSet, gcn_layer, init_assignment, init_parameters,
@@ -125,11 +125,18 @@ class TestNodeAffinity:
         assert np.all(np.exp(res) > 0.0)
         assert ad.value(res).max() == 0.0
 
+    @pytest.mark.parametrize("width_a,width_b", [(2, 3), (3, 2)])
+    def test_width_mismatch_rejected(self, width_a, width_b):
+        with pytest.raises(InvalidInputError, match="^node_affinity dimension mismatch$"):
+            node_affinity(np.ones((4, width_a)), np.ones((4, width_b)), np.eye(3))
+
     @pytest.mark.filterwarnings("error")
     def test_nonfinite_exponent_rejected(self, rng):
         p = rng.normal(size=(3, 2)) * 1e200
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(NumericalFailureError,
+                           match="^affinity exponent is not finite$") as exc:
             node_affinity(p, p, np.eye(2) * 1e200)
+        assert exc.value.stage == "forward"
 
     @given(seed=st.integers(0, 2_000))
     def test_row_permutation_equivariance(self, seed):
@@ -188,6 +195,11 @@ class TestParameterSet:
         with pytest.raises(InvalidInputError, match=f"^parameter vector has {size} entries, not 80$"):
             p.replace_flat(np.zeros(size))
 
+    @pytest.mark.parametrize("dim,n_layers", [(0, 2), (3, -1)])
+    def test_bad_sizes_rejected(self, dim, n_layers):
+        with pytest.raises(InvalidInputError, match="^dim must be >= 1 and n_layers >= 0$"):
+            init_parameters(dim, n_layers, seed=0)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidInputError, match="^seed must be >= 0, got -1$"):
             init_parameters(4, seed=-1)
@@ -197,7 +209,6 @@ class TestParameterSet:
         path = tmp_path / "ckpt.json"
         save_parameters(p, path)
         q = load_parameters(path)
-        assert q.seed == 17
         np.testing.assert_array_equal(ad.value(q.w_aff), ad.value(p.w_aff))
         np.testing.assert_array_equal(ad.value(q.w_r[1]), ad.value(p.w_r[1]))
 
@@ -207,8 +218,8 @@ class TestParameterSet:
         path = tmp_path / "ckpt.json"
         save_parameters(p, path)
         obj = json.loads(path.read_text())
+        assert list(obj) == ["tensors"]
         assert set(obj["tensors"]) == {"w_r.1", "w_s.1", "w_r.2", "w_s.2", "w_aff"}
-        assert obj["dim"] == 3 and obj["seed"] == 0
 
     def test_validate_rejects_bad_shape(self):
         p = ParameterSet((np.ones((2, 3)),), (np.ones((3, 3)),), np.ones((3, 3)))
