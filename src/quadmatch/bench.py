@@ -13,13 +13,13 @@ fixed seeds.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError, require_seed
 from .files import csv_text, json_text
-from .graphs import Graph, GraphPair, assemble_attributes
+from .graphs import Graph, GraphPair
 from .losses import accuracy, f1_score, matrix_to_permutation, permutation_to_matrix
 from .projections import hungarian
 from .qap import (FW_TRAIN_INNER, FW_TRAIN_OUTER, QapInstance, SolveTrace, frank_wolfe_infer,
@@ -57,7 +57,7 @@ class VariantResult:
 
 @dataclass
 class ExperimentReport:
-    rows: list[VariantResult] = field(default_factory=list)
+    rows: list[VariantResult]
 
     def row(self, variant: str) -> VariantResult:
         for r in self.rows:
@@ -82,7 +82,9 @@ def _strip_prior(pair: GraphPair) -> GraphPair:
     GCN see exactly what they would with the columns dropped.
     """
     def strip(g: Graph) -> Graph:
-        return replace(g, attributes=assemble_attributes(g.keypoints.features, np.zeros((g.n, 2))))
+        attributes = g.attributes.copy()
+        attributes[:, -2:] = 0.0
+        return replace(g, attributes=attributes)
 
     return GraphPair(strip(pair.a), strip(pair.b), pair.gt)
 

@@ -1,9 +1,10 @@
 """Graph construction from keypoints and precomputed node features.
 
-A graph is a set of 2D keypoints with feature vectors; its structure is a
-Delaunay triangulation over bounding-box-normalized coordinates, and its
-pairwise context is that binary topology reweighted by the cosine similarity
-of node attributes (features with the normalized coordinates appended).
+A graph holds its keypoints' raw 2D coordinates, its node attributes (the
+feature vectors with the bounding-box-normalized coordinates appended, so the
+features are the attributes' leading columns) and its structure, a Delaunay
+triangulation over the normalized coordinates. Its pairwise context is that
+binary topology reweighted by the cosine similarity of the attributes.
 """
 
 from __future__ import annotations
@@ -23,49 +24,22 @@ KERNEL_EPS = 1e-8
 
 
 @dataclass(frozen=True)
-class KeypointSet:
-    """Raw per-node data: 2D coordinates and feature rows.
-
-    Each must be a rectangular array of numbers. Feature rows must be finite
-    and small enough that their squared norm, which the cosine kernel forms,
-    does not overflow.
-    """
+class Graph:
+    """A keypoint set as the matcher sees it: the raw coordinates, the node
+    attributes and the Delaunay topology. The features are the attributes'
+    leading columns, so they are held once."""
 
     coords: np.ndarray
-    features: np.ndarray
-
-    def __post_init__(self):
-        coords = float_array(self.coords, "coords")
-        features = float_array(self.features, "features")
-        if coords.ndim != 2 or coords.shape[1] != 2:
-            raise InvalidInputError(f"coords must be n x 2, got shape {coords.shape}")
-        if features.ndim != 2 or features.shape[0] != coords.shape[0]:
-            raise InvalidInputError("features must have one row per keypoint")
-        if not np.all(np.isfinite(coords)) or not np.all(np.isfinite(features)):
-            raise InvalidInputError("keypoint coordinates and features must be finite")
-        with np.errstate(over="ignore"):
-            sq_norms = np.sum(features * features, axis=1)
-        if not np.all(np.isfinite(sq_norms)):
-            raise InvalidInputError("feature rows are too large: their squared norm overflows")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "features", features)
-
-    @property
-    def n(self) -> int:
-        return self.coords.shape[0]
-
-
-@dataclass(frozen=True)
-class Graph:
-    """A keypoint set with its derived attributes and Delaunay topology."""
-
-    keypoints: KeypointSet
     attributes: np.ndarray  # features, then the normalized (x, y) as the last two columns
     adjacency: np.ndarray
 
     @property
+    def features(self) -> np.ndarray:
+        return self.attributes[:, :-2]
+
+    @property
     def n(self) -> int:
-        return self.keypoints.n
+        return self.coords.shape[0]
 
 
 @dataclass(frozen=True)
@@ -187,15 +161,6 @@ def _path_adjacency(c: np.ndarray) -> np.ndarray:
     return adj
 
 
-def assemble_attributes(features, coords_norm) -> np.ndarray:
-    """Node attribute rows: feature vector with (x, y) in [0,1] appended."""
-    f = np.asarray(features, dtype=float)
-    c = np.asarray(coords_norm, dtype=float)
-    if f.ndim != 2 or f.shape[0] != c.shape[0]:
-        raise InvalidInputError("features and coordinates disagree on node count")
-    return np.hstack([f, c])
-
-
 def linear_kernel(p):
     """Cosine similarity matrix of attribute rows.
 
@@ -222,23 +187,44 @@ def weighted_adjacency(p, adjacency):
     return linear_kernel(p) * adj
 
 
-def build_graph(keypoints: KeypointSet) -> Graph:
-    """Normalize coordinates, triangulate, and assemble node attributes."""
-    coords_norm = normalize_coordinates(keypoints.coords)
-    attributes = assemble_attributes(keypoints.features, coords_norm)
-    return Graph(keypoints, attributes, delaunay_adjacency(coords_norm))
+def build_graph(coords, features) -> Graph:
+    """Check the keypoints, normalize and triangulate their coordinates, and
+    append the normalized coordinates to the features.
+
+    Each input must be a rectangular array of numbers: n x 2 coordinates and
+    one feature row per keypoint. Both must be finite, and each feature row
+    small enough that its squared norm, which the cosine kernel forms, does
+    not overflow.
+    """
+    coords = float_array(coords, "coords")
+    features = float_array(features, "features")
+    if coords.ndim != 2 or coords.shape[1] != 2:
+        raise InvalidInputError(f"coords must be n x 2, got shape {coords.shape}")
+    if features.ndim != 2 or features.shape[0] != coords.shape[0]:
+        raise InvalidInputError("features must have one row per keypoint")
+    if not np.all(np.isfinite(coords)) or not np.all(np.isfinite(features)):
+        raise InvalidInputError("keypoint coordinates and features must be finite")
+    with np.errstate(over="ignore"):
+        sq_norms = np.sum(features * features, axis=1)
+    if not np.all(np.isfinite(sq_norms)):
+        raise InvalidInputError("feature rows are too large: their squared norm overflows")
+    coords_norm = normalize_coordinates(coords)
+    return Graph(coords, np.hstack([features, coords_norm]), delaunay_adjacency(coords_norm))
 
 
-def make_pair(a: KeypointSet, b: KeypointSet, gt) -> GraphPair:
+def make_pair(a, b, gt) -> GraphPair:
+    """The pair of graphs built from ``a`` and ``b``, each a
+    ``(coords, features)`` tuple; an error in a graph's keypoints names the
+    graph."""
     graphs = []
-    for name, keypoints in (("graph_a", a), ("graph_b", b)):
+    for name, (coords, features) in (("graph_a", a), ("graph_b", b)):
         with prefixed(name):
-            graphs.append(build_graph(keypoints))
+            graphs.append(build_graph(coords, features))
     return GraphPair(*graphs, gt)
 
 
 def pair_to_dict(pair: GraphPair) -> dict:
-    obj = {name: {"coords": g.keypoints.coords.tolist(), "features": g.keypoints.features.tolist()}
+    obj = {name: {"coords": g.coords.tolist(), "features": g.features.tolist()}
            for name, g in (("graph_a", pair.a), ("graph_b", pair.b))}
     return {**obj, "gt_permutation": pair.gt.tolist()}
 
@@ -250,16 +236,11 @@ def pair_from_dict(obj: dict) -> GraphPair:
         raise InvalidInputError("a graph pair must be a JSON object with 'graph_a', "
                                 "'graph_b' and 'gt_permutation'")
     try:
-        graphs = [(name, obj[name]["coords"], obj[name]["features"])
-                  for name in ("graph_a", "graph_b")]
+        a, b = [(obj[name]["coords"], obj[name]["features"]) for name in ("graph_a", "graph_b")]
         gt = obj["gt_permutation"]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed graph-pair object: {exc}") from exc
-    keypoints = []
-    for name, coords, features in graphs:
-        with prefixed(name):
-            keypoints.append(KeypointSet(coords, features))
-    return make_pair(*keypoints, gt)
+    return make_pair(a, b, gt)
 
 
 def save_pair(pair: GraphPair, path) -> None:

@@ -186,7 +186,7 @@ def frank_wolfe_infer(x0, inst: QapInstance):
     x = np.asarray(x0, dtype=float)
     if x.shape != (inst.n, inst.n):
         raise InvalidInputError("assignment shape does not match the instance")
-    trace = SolveTrace(converged=False)
+    trace = SolveTrace()
     best = hungarian(x)
     best_val = score(best)[2]
     xb, r, _ = score(x)

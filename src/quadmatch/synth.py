@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, require_ints, require_reals, require_seed
-from .graphs import GraphPair, KeypointSet, make_pair
+from .graphs import Graph, GraphPair, make_pair
 
 OUTLIER_SIGMA = 10.0
 FEATURE_SCALE = 1.6  # prototype norm; keeps affinity exponents unsaturated
@@ -77,7 +77,7 @@ def gen_synthetic_pair(cfg: SynthConfig, *, rng: np.random.Generator) -> GraphPa
     features_b = np.empty_like(features_a)
     features_b[perm] = prototypes[class_of] + cfg.feature_noise * rng.normal(size=(n, d))
 
-    pair = make_pair(KeypointSet(coords_a, features_a), KeypointSet(coords_b, features_b), perm)
+    pair = make_pair((coords_a, features_a), (coords_b, features_b), perm)
     if cfg.n_outliers > 0:
         pair = inject_outliers(pair, cfg.n_outliers, rng=rng)
     return pair
@@ -94,15 +94,14 @@ def inject_outliers(pair: GraphPair, k: int, *, rng: np.random.Generator) -> Gra
         raise InvalidInputError("outlier count must be >= 0")
     if k == 0:
         return pair
-    d = pair.a.keypoints.features.shape[1]
+    d = pair.a.features.shape[1]
 
-    def extend(kp: KeypointSet) -> KeypointSet:
-        coords = np.vstack([kp.coords, rng.normal(0.0, OUTLIER_SIGMA, size=(k, 2))])
-        features = np.vstack([kp.features, rng.normal(size=(k, d))])
-        return KeypointSet(coords, features)
+    def extend(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+        return (np.vstack([g.coords, rng.normal(0.0, OUTLIER_SIGMA, size=(k, 2))]),
+                np.vstack([g.features, rng.normal(size=(k, d))]))
 
-    new_a = extend(pair.a.keypoints)
-    new_b = extend(pair.b.keypoints)
+    new_a = extend(pair.a)
+    new_b = extend(pair.b)
     gt = np.concatenate([pair.gt, np.full(k, -1, dtype=int)])
     return make_pair(new_a, new_b, gt)
 

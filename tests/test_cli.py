@@ -15,7 +15,7 @@ from quadmatch import autodiff as ad
 from quadmatch.bench import ABLATIONS, VARIANTS, outlier_sweep, sweep_to_csv
 from quadmatch.cli import OUTPUT_FLAGS, build_parser, main
 from quadmatch.errors import NumericalFailureError
-from quadmatch.graphs import KeypointSet, load_dataset, make_pair, save_dataset, save_pair
+from quadmatch.graphs import load_dataset, make_pair, save_dataset, save_pair
 from quadmatch.refine import init_parameters, load_parameters, save_parameters
 from quadmatch.synth import SynthConfig, gen_synthetic_pair
 from quadmatch.train import LOSSES, TrainConfig, train
@@ -937,8 +937,8 @@ def fuzz_dataset(n, n_pairs, width, scale, constant, seed):
                                   rng=np.random.default_rng(int(pair_seed)))
         rows = [np.ones((n, width)) if constant else rng.normal(size=(n, width))
                 for _ in range(2)]
-        pairs.append(make_pair(KeypointSet(pair.a.keypoints.coords, scale * rows[0]),
-                               KeypointSet(pair.b.keypoints.coords, scale * rows[1]), pair.gt))
+        pairs.append(make_pair((pair.a.coords, scale * rows[0]), (pair.b.coords, scale * rows[1]),
+                               pair.gt))
     return pairs
 
 

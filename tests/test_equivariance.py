@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from quadmatch.bench import match_pair
-from quadmatch.graphs import KeypointSet, make_pair
+from quadmatch.graphs import make_pair
 from quadmatch.refine import init_parameters
 from quadmatch.synth import ambiguous_config, easy_config, gen_dataset
 from quadmatch.train import TrainConfig, grad_params
@@ -28,19 +28,19 @@ def relabel_a(pair, order):
 
     Returns the new pair and the map from an old match vector to the new one.
     """
-    kp = pair.a.keypoints
-    moved = make_pair(KeypointSet(kp.coords[order], kp.features[order]), pair.b.keypoints,
+    a, b = pair.a, pair.b
+    moved = make_pair((a.coords[order], a.features[order]), (b.coords, b.features),
                       pair.gt[order])
     return moved, lambda perm: perm[order]
 
 
 def relabel_b(pair, order):
     """Node k of the new graph B is node ``order[k]`` of the old one."""
-    kp = pair.b.keypoints
+    a, b = pair.a, pair.b
     new_index = np.argsort(order)
     # an outlier's -1 stays -1
     gt = np.where(pair.gt >= 0, new_index[pair.gt], -1)
-    moved = make_pair(pair.a.keypoints, KeypointSet(kp.coords[order], kp.features[order]), gt)
+    moved = make_pair((a.coords, a.features), (b.coords[order], b.features[order]), gt)
     return moved, lambda perm: new_index[perm]
 
 
@@ -105,10 +105,10 @@ def test_outlier_pairs_equivariance_floor():
 
 def transform_coords(pair, scale, shift, graphs):
     """The pair with coordinates ``coords * scale + shift`` in the named graphs."""
-    def moved(kp, name):
-        coords = kp.coords * np.asarray(scale) + np.asarray(shift) if name in graphs else kp.coords
-        return KeypointSet(coords, kp.features)
-    return make_pair(moved(pair.a.keypoints, "a"), moved(pair.b.keypoints, "b"), pair.gt)
+    def moved(g, name):
+        coords = g.coords * np.asarray(scale) + np.asarray(shift) if name in graphs else g.coords
+        return coords, g.features
+    return make_pair(moved(pair.a, "a"), moved(pair.b, "b"), pair.gt)
 
 
 @pytest.fixture(scope="module")

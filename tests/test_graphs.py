@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from quadmatch import graphs
 from quadmatch.errors import InvalidInputError
-from quadmatch.graphs import (KERNEL_EPS, GraphPair, KeypointSet, assemble_attributes,
-                              build_graph, delaunay_adjacency, linear_kernel, make_pair,
-                              normalize_coordinates, pair_from_dict, pair_to_dict,
-                              weighted_adjacency)
+from quadmatch.graphs import (KERNEL_EPS, GraphPair, build_graph, delaunay_adjacency,
+                              linear_kernel, make_pair, normalize_coordinates, pair_from_dict,
+                              pair_to_dict, weighted_adjacency)
 from quadmatch.synth import SynthConfig, gen_synthetic_pair
 
 
@@ -174,26 +173,30 @@ class TestDelaunayAdjacency:
         assert np.all(np.diag(adj) == 0)
 
 
-class TestAttributes:
+class TestBuildGraph:
     def test_zero_feature_dim(self):
-        out = assemble_attributes(np.zeros((3, 0)), np.full((3, 2), 0.5))
-        np.testing.assert_array_equal(out, np.full((3, 2), 0.5))
+        coords = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 4.0]])
+        g = build_graph(coords, np.zeros((3, 0)))
+        np.testing.assert_array_equal(g.attributes, normalize_coordinates(coords))
 
-    def test_concatenation(self):
-        out = assemble_attributes([[1, 2], [3, 4]], [[0, 0], [1, 1]])
-        np.testing.assert_array_equal(out, [[1, 2, 0, 0], [3, 4, 1, 1]])
+    def test_features_lead_attributes(self):
+        features = np.array([[1.0, 2.0], [3.0, 4.0]])
+        g = build_graph([[0, 0], [2, 4]], features)
+        np.testing.assert_array_equal(g.attributes, [[1, 2, 0, 0], [3, 4, 1, 1]])
+        assert g.features.tobytes() == features.tobytes()
+        assert np.shares_memory(g.features, g.attributes)
 
     def test_shape_and_determinism(self, rng):
         feats = rng.normal(size=(5, 16))
         coords = rng.uniform(size=(5, 2))
-        a = assemble_attributes(feats, coords)
-        b = assemble_attributes(feats.copy(), coords.copy())
+        a = build_graph(coords, feats).attributes
+        b = build_graph(coords.copy(), feats.copy()).attributes
         assert a.shape == (5, 18)
         np.testing.assert_array_equal(a, b)
 
     def test_mismatched_rows_rejected(self):
-        with pytest.raises(InvalidInputError):
-            assemble_attributes(np.ones((3, 4)), np.ones((2, 2)))
+        with pytest.raises(InvalidInputError, match="^features must have one row per keypoint$"):
+            build_graph(np.eye(3, 2), np.ones((2, 4)))
 
 
 def shrink(norm):
@@ -275,24 +278,24 @@ class TestWeightedAdjacency:
 
 class TestPairIO:
     def test_roundtrip(self, rng):
-        a = KeypointSet(rng.uniform(size=(5, 2)) * 100, rng.normal(size=(5, 3)))
-        b = KeypointSet(rng.uniform(size=(5, 2)) * 100, rng.normal(size=(5, 3)))
+        a = (rng.uniform(size=(5, 2)) * 100, rng.normal(size=(5, 3)))
+        b = (rng.uniform(size=(5, 2)) * 100, rng.normal(size=(5, 3)))
         pair = make_pair(a, b, [3, 2, -1, 0, 4])
         again = pair_from_dict(pair_to_dict(pair))
         np.testing.assert_array_equal(again.gt, pair.gt)
-        np.testing.assert_allclose(again.a.keypoints.coords, pair.a.keypoints.coords)
+        np.testing.assert_allclose(again.a.coords, pair.a.coords)
         np.testing.assert_allclose(again.b.attributes, pair.b.attributes)
 
     def test_duplicate_target_rejected(self, rng):
-        a = KeypointSet(rng.uniform(size=(3, 2)), rng.normal(size=(3, 2)))
-        b = KeypointSet(rng.uniform(size=(3, 2)), rng.normal(size=(3, 2)))
+        a = (rng.uniform(size=(3, 2)), rng.normal(size=(3, 2)))
+        b = (rng.uniform(size=(3, 2)), rng.normal(size=(3, 2)))
         with pytest.raises(InvalidInputError):
             make_pair(a, b, [0, 0, 1])
 
     @pytest.mark.parametrize("entry", [0.5, 4.7])
     def test_fractional_ground_truth_rejected(self, rng, entry):
-        a = KeypointSet(rng.uniform(size=(5, 2)), rng.normal(size=(5, 2)))
-        b = KeypointSet(rng.uniform(size=(5, 2)), rng.normal(size=(5, 2)))
+        a = (rng.uniform(size=(5, 2)), rng.normal(size=(5, 2)))
+        b = (rng.uniform(size=(5, 2)), rng.normal(size=(5, 2)))
         gt = [0, 1, 2, 3, entry]
         with pytest.raises(InvalidInputError, match="integer"):
             make_pair(a, b, gt)
@@ -305,8 +308,8 @@ class TestPairIO:
     def test_ground_truth_below_minus_one_rejected(self, rng, entry):
         # only -1 marks an outlier; any other negative entry is a typo that
         # would silently drop a match from the accuracy
-        a = KeypointSet(rng.uniform(size=(3, 2)), rng.normal(size=(3, 2)))
-        b = KeypointSet(rng.uniform(size=(3, 2)), rng.normal(size=(3, 2)))
+        a = (rng.uniform(size=(3, 2)), rng.normal(size=(3, 2)))
+        b = (rng.uniform(size=(3, 2)), rng.normal(size=(3, 2)))
         gt = [0, 1, entry]
         with pytest.raises(InvalidInputError, match="or -1 for an outlier"):
             make_pair(a, b, gt)
@@ -317,15 +320,15 @@ class TestPairIO:
 
     def test_boolean_ground_truth_array_rejected(self, rng):
         # a bool array would cast to the valid [0, 1]
-        a = KeypointSet(rng.uniform(size=(2, 2)), rng.normal(size=(2, 2)))
-        b = KeypointSet(rng.uniform(size=(2, 2)), rng.normal(size=(2, 2)))
+        a = (rng.uniform(size=(2, 2)), rng.normal(size=(2, 2)))
+        b = (rng.uniform(size=(2, 2)), rng.normal(size=(2, 2)))
         with pytest.raises(InvalidInputError, match="integer node indices"):
             make_pair(a, b, np.array([False, True]))
 
     def test_boolean_ground_truth_entry_rejected(self, rng):
         # numpy casts a list that mixes booleans and integers to integers
-        a = KeypointSet(rng.uniform(size=(2, 2)), rng.normal(size=(2, 2)))
-        b = KeypointSet(rng.uniform(size=(2, 2)), rng.normal(size=(2, 2)))
+        a = (rng.uniform(size=(2, 2)), rng.normal(size=(2, 2)))
+        b = (rng.uniform(size=(2, 2)), rng.normal(size=(2, 2)))
         obj = pair_to_dict(make_pair(a, b, [0, 1]))
         obj["gt_permutation"] = [False, 1]
         with pytest.raises(InvalidInputError, match="integer node indices, not true or false"):
@@ -335,8 +338,8 @@ class TestPairIO:
                              ids=["list", "tuple", "numpy_bool"])
     def test_boolean_ground_truth_sequence_rejected(self, rng, gt):
         # every path builds a GraphPair, so the Python API rejects it as JSON input does
-        a = KeypointSet(rng.uniform(size=(4, 2)), rng.normal(size=(4, 2)))
-        b = KeypointSet(rng.uniform(size=(4, 2)), rng.normal(size=(4, 2)))
+        a = (rng.uniform(size=(4, 2)), rng.normal(size=(4, 2)))
+        b = (rng.uniform(size=(4, 2)), rng.normal(size=(4, 2)))
         with pytest.raises(InvalidInputError, match="integer node indices, not true or false"):
             make_pair(a, b, gt)
 
@@ -363,8 +366,7 @@ class TestPairIO:
             pair_from_dict({"graph_a": {}})
 
     def test_build_graph_fields(self, rng):
-        kp = KeypointSet(rng.uniform(size=(6, 2)) * 30, rng.normal(size=(6, 4)))
-        g = build_graph(kp)
+        g = build_graph(rng.uniform(size=(6, 2)) * 30, rng.normal(size=(6, 4)))
         assert g.attributes.shape == (6, 6)
         coords_norm = g.attributes[:, -2:]
         assert coords_norm.min() >= 0 and coords_norm.max() <= 1

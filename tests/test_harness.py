@@ -38,17 +38,17 @@ class TestGenSyntheticPair:
     def test_noise_free_pair_is_exact_permuted_copy(self):
         pair = small_pair(feature_noise=0.0, coord_jitter=0.0)
         perm = pair.gt
-        np.testing.assert_allclose(pair.b.keypoints.coords[perm], pair.a.keypoints.coords)
-        np.testing.assert_allclose(pair.b.keypoints.features[perm], pair.a.keypoints.features)
+        np.testing.assert_allclose(pair.b.coords[perm], pair.a.coords)
+        np.testing.assert_allclose(pair.b.features[perm], pair.a.features)
 
     def test_same_seed_identical(self):
         a, b = small_pair(), small_pair()
         np.testing.assert_array_equal(a.gt, b.gt)
-        np.testing.assert_array_equal(a.a.keypoints.features, b.a.keypoints.features)
+        np.testing.assert_array_equal(a.a.features, b.a.features)
 
     def test_different_seed_differs(self):
         a, b = small_pair(1), small_pair(2)
-        assert not np.array_equal(a.a.keypoints.coords, b.a.keypoints.coords)
+        assert not np.array_equal(a.a.coords, b.a.coords)
 
     def test_ground_truth_is_permutation(self):
         pair = small_pair()
@@ -66,8 +66,7 @@ class TestGenSyntheticPair:
         # row of the node of A that the ground truth maps onto it
         for seed, rotate_b in itertools.product(range(10), (False, True)):
             pair = small_pair(seed, classes=3, feature_noise=0.0, rotate_b=rotate_b)
-            np.testing.assert_array_equal(pair.b.keypoints.features[pair.gt],
-                                          pair.a.keypoints.features)
+            np.testing.assert_array_equal(pair.b.features[pair.gt], pair.a.features)
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
@@ -100,19 +99,19 @@ class TestInjectOutliers:
     def test_inlier_truth_and_data_preserved(self):
         pair = small_pair()
         noisy = inject_outliers(pair, 3, rng=np.random.default_rng(4))
-        np.testing.assert_array_equal(noisy.a.keypoints.coords[:6], pair.a.keypoints.coords)
-        np.testing.assert_array_equal(noisy.b.keypoints.features[:6], pair.b.keypoints.features)
+        np.testing.assert_array_equal(noisy.a.coords[:6], pair.a.coords)
+        np.testing.assert_array_equal(noisy.b.features[:6], pair.b.features)
 
     def test_deterministic_given_seed(self):
         pair = small_pair()
         a = inject_outliers(pair, 2, rng=np.random.default_rng(11))
         b = inject_outliers(pair, 2, rng=np.random.default_rng(11))
-        np.testing.assert_array_equal(a.a.keypoints.coords, b.a.keypoints.coords)
+        np.testing.assert_array_equal(a.a.coords, b.a.coords)
 
     def test_sigma_scale(self):
         pair = small_pair()
         noisy = inject_outliers(pair, 50, rng=np.random.default_rng(0))
-        spread = np.abs(noisy.a.keypoints.coords[6:]).max()
+        spread = np.abs(noisy.a.coords[6:]).max()
         assert spread > 5.0  # far outside the unit frame
 
     def test_rng_is_required(self):
@@ -141,11 +140,11 @@ class TestDatasets:
         d1 = gen_dataset(cfg, 4)
         d2 = gen_dataset(cfg, 4)
         for p1, p2 in zip(d1, d2):
-            np.testing.assert_array_equal(p1.a.keypoints.features, p2.a.keypoints.features)
+            np.testing.assert_array_equal(p1.a.features, p2.a.features)
 
     def test_pairs_differ_within_dataset(self):
         d = gen_dataset(small_cfg(), 3)
-        assert not np.array_equal(d[0].a.keypoints.coords, d[1].a.keypoints.coords)
+        assert not np.array_equal(d[0].a.coords, d[1].a.coords)
 
     def test_preset_configs_valid(self):
         assert easy_config(seed=1).classes == easy_config(seed=1).n_inliers

@@ -4,8 +4,8 @@ scipy names, only the command line and the package ``__init__`` import the
 training module, only ``__main__`` imports the command line, so
 ``import quadmatch`` never loads it, and the package itself names only its
 modules and what the benchmark reads from it. Also the package's settable
-surface outside the command line: every parameter with a default and every
-config field, pinned in one table."""
+surface outside the command line: every parameter or class field with a
+default and every config field, pinned in one table."""
 
 import ast
 import json
@@ -29,14 +29,17 @@ SCIPY_NAMES = {"scipy.optimize.linear_sum_assignment", "scipy.spatial.Delaunay",
 # every subcommand or load every module
 TRAIN_IMPORTERS = {"cli.py", "__init__.py"}
 CLI_IMPORTERS = {"__main__.py"}
-# every parameter with a default, by module and qualified function name, and
-# every field of a config class: a change that adds or drops a settable value
-# edits this table (the command line's options are pinned in test_cli.py)
+# every parameter with a default, by module and qualified function name,
+# every defaulted field of another class, and every field of a config class: a
+# change that adds or drops a settable value edits this table (the command
+# line's options are pinned in test_cli.py)
 DEFAULTED = {
     "autodiff.Var.__init__": ("parents", "backward"),
     "autodiff.asum": ("axis", "keepdims"),
     "cli.main": ("argv",),
+    "qap.SolveTrace": ("steps", "converged"),
     "refine.init_parameters": ("n_layers",),
+    "train.TrainHistory": ("entries",),
     "train.train": ("params",),
 }
 CONFIG_FIELDS = {
@@ -189,8 +192,9 @@ def test_package_surface():
 
 def settable_values(source: str, module: str) -> tuple[dict, dict]:
     """The parameters with a default of each function or lambda in
-    ``source``, keyed ``module.qualified_name``, and the annotated fields of
-    each class whose name ends in ``Config``."""
+    ``source`` and the annotated fields with a default of each other class,
+    keyed ``module.qualified_name``, and the annotated fields of each class
+    whose name ends in ``Config``."""
     defaulted, fields = {}, {}
 
     def visit(node, prefix):
@@ -204,9 +208,12 @@ def settable_values(source: str, module: str) -> tuple[dict, dict]:
                 names += [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
                 if names:
                     defaulted[name] = tuple(names)
-            if isinstance(child, ast.ClassDef) and child.name.endswith("Config"):
-                fields[name] = tuple(f.target.id for f in child.body
-                                     if isinstance(f, ast.AnnAssign))
+            if isinstance(child, ast.ClassDef):
+                annotated = [f for f in child.body if isinstance(f, ast.AnnAssign)]
+                if child.name.endswith("Config"):
+                    fields[name] = tuple(f.target.id for f in annotated)
+                elif any(f.value is not None for f in annotated):
+                    defaulted[name] = tuple(f.target.id for f in annotated if f.value is not None)
             visit(child, f"{name}." if scoped else prefix)
 
     visit(ast.parse(source), f"{module}.")
@@ -228,8 +235,9 @@ def test_settable_scan_names_each_form():
               "    def inner(z=3):\n        pass\n"
               "class C:\n    def m(self, e=4):\n        pass\n"
               "class RunConfig:\n    n: int = 1\n    seed: int\n    def h(self): pass\n"
+              "class Log:\n    rows: list\n    done: bool = False\n    tag = 'x'\n"
               "def plain(a, *, b):\n    pass\n")
     assert settable_values(source, "mod") == (
         {"mod.f": ("b", "d"), "mod.f.<lambda>": ("y",), "mod.f.inner": ("z",),
-         "mod.C.m": ("e",)},
+         "mod.C.m": ("e",), "mod.Log": ("done",)},
         {"mod.RunConfig": ("n", "seed")})

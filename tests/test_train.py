@@ -11,7 +11,7 @@ from oracles import finite_difference_grad, unrolled_sinkhorn
 from quadmatch import autodiff as ad
 from quadmatch import qap, refine
 from quadmatch.errors import InvalidInputError, NumericalFailureError
-from quadmatch.graphs import KeypointSet, make_pair
+from quadmatch.graphs import make_pair
 from quadmatch.losses import LossConfig
 from quadmatch.qap import frank_wolfe_train
 from quadmatch.refine import (forward, init_assignment, init_parameters, node_affinity,
@@ -254,10 +254,10 @@ class TestTrainLoop:
 
 def _with_features(pairs, fill):
     """The pairs with every feature entry set to ``fill``."""
-    def keypoints(g):
-        return KeypointSet(g.keypoints.coords, np.full_like(g.keypoints.features, fill))
+    def filled(g):
+        return g.coords, np.full_like(g.features, fill)
 
-    return [make_pair(keypoints(p.a), keypoints(p.b), p.gt) for p in pairs]
+    return [make_pair(filled(p.a), filled(p.b), p.gt) for p in pairs]
 
 
 class TestConfigValidation:
