@@ -1,6 +1,17 @@
-"""Slow reference implementations that the fast product paths are tested
-against, and ``sinkhorn_rounds``, the one way a test runs Sinkhorn at a
-round count other than the product's."""
+"""Every slow reference the fast product paths are tested against, and every
+random input that more than one test draws, each defined once.
+
+- References: ``central_difference`` (and ``finite_difference_grad`` on it),
+  ``naive_objective``, ``brute_force_assignment``, ``brute_force_qap``,
+  ``brute_force_delaunay``, ``lexicographic_hungarian``,
+  ``floyd_warshall_hungarian``, ``logsumexp`` and ``unrolled_sinkhorn``,
+  ``stepwise_frank_wolfe_infer`` with ``assert_trace_extends``, and
+  ``false_matching_loss_grad``.
+- Random inputs: ``random_symmetric_hollow``, ``random_instance`` and
+  ``random_doubly_stochastic``.
+- ``sinkhorn_rounds``, the one way a test runs Sinkhorn at a round count
+  other than the product's.
+"""
 
 import itertools
 from unittest import mock
@@ -21,6 +32,103 @@ from quadmatch.refine import forward
 from quadmatch.train import LOSSES, TrainConfig
 
 FD_STEP = 1e-5
+
+
+def central_difference(f, x, h: float) -> np.ndarray:
+    """Central differences, with step ``h``, of a scalar function of one array."""
+    g = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        up, down = x.copy(), x.copy()
+        up[idx] += h
+        down[idx] -= h
+        g[idx] = (f(up) - f(down)) / (2 * h)
+    return g
+
+
+def random_symmetric_hollow(rng, n) -> np.ndarray:
+    """A symmetric n x n Gaussian matrix with a zero diagonal."""
+    m = rng.normal(size=(n, n))
+    m = (m + m.T) / 2
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+def random_instance(rng, n) -> QapInstance:
+    """Two ``random_symmetric_hollow`` adjacencies and a unary in [0.1, 1)."""
+    return QapInstance(random_symmetric_hollow(rng, n),
+                       random_symmetric_hollow(rng, n),
+                       rng.uniform(0.1, 1.0, size=(n, n)))
+
+
+def random_doubly_stochastic(rng, n) -> np.ndarray:
+    """``sinkhorn`` of the log of an n x n matrix drawn uniformly from [0.1, 1)."""
+    return ad.value(projections.sinkhorn(np.log(rng.uniform(0.1, 1.0, size=(n, n)))).matrix)
+
+
+def naive_objective(x, inst: QapInstance) -> float:
+    """Elementwise recomputation of the Frobenius expansion."""
+    n = inst.n
+    a, b, u = inst.a_d, inst.b_d, inst.x_u
+    xbx = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            acc = 0.0
+            for k in range(n):
+                for l in range(n):
+                    acc += x[i, k] * b[k, l] * x[j, l]
+            xbx[i, j] = acc
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            total += (a[i, j] - xbx[i, j]) ** 2
+            total -= u[i, j] * x[i, j]
+    return total
+
+
+def brute_force_assignment(score):
+    """Exhaustive search over all permutations; returns (value, permutation)."""
+    n = score.shape[0]
+    best_val, best_perm = -np.inf, None
+    for perm in itertools.permutations(range(n)):
+        val = sum(score[i, j] for i, j in enumerate(perm))
+        if val > best_val:
+            best_val, best_perm = val, perm
+    return best_val, best_perm
+
+
+def brute_force_delaunay(coords) -> np.ndarray:
+    """Edge (i, j) is Delaunay iff some circumcircle through i, j, k is empty.
+
+    Valid for point sets in general position (no ties generated in tests).
+    """
+    c = np.asarray(coords, dtype=float)
+    n = len(c)
+    adj = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if k in (i, j):
+                    continue
+                center, r2 = _circumcircle(c[i], c[j], c[k])
+                if center is None:
+                    continue
+                dists = ((c - center) ** 2).sum(axis=1)
+                inside = dists < r2 - 1e-12
+                inside[[i, j, k]] = False
+                if not inside.any():
+                    adj[i, j] = adj[j, i] = 1.0
+                    break
+    return adj
+
+
+def _circumcircle(a, b, c):
+    d = 2 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
+    if abs(d) < 1e-14:
+        return None, None
+    ux = ((a @ a) * (b[1] - c[1]) + (b @ b) * (c[1] - a[1]) + (c @ c) * (a[1] - b[1])) / d
+    uy = ((a @ a) * (c[0] - b[0]) + (b @ b) * (a[0] - c[0]) + (c @ c) * (b[0] - a[0])) / d
+    center = np.array([ux, uy])
+    return center, ((a - center) ** 2).sum()
 
 
 def lexicographic_hungarian(score) -> np.ndarray:
@@ -253,16 +361,12 @@ def finite_difference_grad(pair, params, cfg: TrainConfig, *, step: float = FD_S
         p = params.replace_flat(flat_vec)
         return frank_wolfe_train(*forward(pair, p), cfg.m1, cfg.m2, tau=cfg.tau)
 
+    def loss(flat_vec: np.ndarray) -> float:
+        return float(loss_f(run(flat_vec), x_star, loss_cfg))
+
     theta = params.flatten()
     x_val = run(theta)
-    grad_flat = np.zeros_like(theta)
-    for i in range(theta.size):
-        bump = np.zeros_like(theta)
-        bump[i] = step
-        up = float(loss_f(run(theta + bump), x_star, loss_cfg))
-        down = float(loss_f(run(theta - bump), x_star, loss_cfg))
-        grad_flat[i] = (up - down) / (2 * step)
-    return grad_flat, float(loss_f(x_val, x_star, loss_cfg)), x_val
+    return central_difference(loss, theta, step), float(loss_f(x_val, x_star, loss_cfg)), x_val
 
 
 def false_matching_loss_grad(x, x_star, cfg: LossConfig = LossConfig()) -> np.ndarray:

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quadmatch
 from quadmatch import autodiff as ad
 from quadmatch.bench import ABLATIONS, VARIANTS, outlier_sweep, sweep_to_csv
 from quadmatch.cli import OUTPUT_FLAGS, build_parser, main
@@ -263,6 +267,24 @@ def test_usage_error_exit_code(tmp_path, monkeypatch, capsys, argv):
 def test_help_exit_code(capsys):
     assert main(["--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_module_entry_point():
+    # ``python -m quadmatch`` runs __main__.py, which passes main's exit code on
+    env = dict(os.environ)
+    src = str(Path(quadmatch.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "quadmatch", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    proc = run("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: quadmatch")
+    proc = run("synth")
+    assert proc.returncode == 1
+    assert "--out" in proc.stderr
 
 
 def test_invalid_input_exit_code(tmp_path):

@@ -8,47 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import brute_force_delaunay
 from quadmatch import graphs
 from quadmatch.errors import InvalidInputError
 from quadmatch.graphs import (KERNEL_EPS, GraphPair, build_graph, delaunay_adjacency,
                               linear_kernel, make_pair, normalize_coordinates, pair_from_dict,
                               pair_to_dict, weighted_adjacency)
 from quadmatch.synth import SynthConfig, gen_synthetic_pair
-
-
-def brute_force_delaunay(coords):
-    """Edge (i, j) is Delaunay iff some circumcircle through i, j, k is empty.
-
-    Valid for point sets in general position (no ties generated in tests).
-    """
-    c = np.asarray(coords, dtype=float)
-    n = len(c)
-    adj = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                center, r2 = _circumcircle(c[i], c[j], c[k])
-                if center is None:
-                    continue
-                dists = ((c - center) ** 2).sum(axis=1)
-                inside = dists < r2 - 1e-12
-                inside[[i, j, k]] = False
-                if not inside.any():
-                    adj[i, j] = adj[j, i] = 1.0
-                    break
-    return adj
-
-
-def _circumcircle(a, b, c):
-    d = 2 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    if abs(d) < 1e-14:
-        return None, None
-    ux = ((a @ a) * (b[1] - c[1]) + (b @ b) * (c[1] - a[1]) + (c @ c) * (a[1] - b[1])) / d
-    uy = ((a @ a) * (c[0] - b[0]) + (b @ b) * (a[0] - c[0]) + (c @ c) * (b[0] - a[0])) / d
-    center = np.array([ux, uy])
-    return center, ((a - center) ** 2).sum()
 
 
 class TestNormalizeCoordinates:

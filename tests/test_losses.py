@@ -4,19 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import false_matching_loss_grad
+from oracles import central_difference, false_matching_loss_grad, random_doubly_stochastic
 
 from quadmatch import autodiff as ad
 from quadmatch.errors import InvalidInputError
 from quadmatch.losses import (LossConfig, accuracy, cross_entropy_loss, f1_score,
                               false_matching_loss, matrix_to_permutation,
                               permutation_to_matrix)
-from quadmatch.projections import sinkhorn
-
-
-def random_ds(seed, n):
-    rng = np.random.default_rng(seed)
-    return ad.value(sinkhorn(np.log(rng.uniform(0.1, 1.0, size=(n, n)))).matrix)
 
 
 def random_perm_matrix(seed, n):
@@ -42,7 +36,7 @@ class TestFalseMatchingLoss:
     @given(seed=st.integers(0, 3_000), n=st.integers(1, 12))
     def test_bounds_on_doubly_stochastic(self, seed, n):
         cfg = LossConfig()
-        x = random_ds(seed, n)
+        x = random_doubly_stochastic(np.random.default_rng(seed), n)
         x_star = random_perm_matrix(seed + 1, n)
         loss = false_matching_loss(x, x_star, cfg)
         assert loss >= 2.0 - 1e-9
@@ -50,7 +44,7 @@ class TestFalseMatchingLoss:
 
     def test_equality_iff_exact(self):
         x_star = random_perm_matrix(7, 4)
-        x = random_ds(8, 4)
+        x = random_doubly_stochastic(np.random.default_rng(8), 4)
         assert false_matching_loss(x, x_star, LossConfig()) > 2.0
 
     def test_shape_mismatch_rejected(self):
@@ -68,22 +62,15 @@ class TestFalseMatchingGrad:
     @given(seed=st.integers(0, 2_000), n=st.integers(2, 8))
     def test_matches_finite_differences(self, seed, n):
         cfg = LossConfig()
-        x = random_ds(seed, n)
+        x = random_doubly_stochastic(np.random.default_rng(seed), n)
         x_star = random_perm_matrix(seed + 3, n)
         g = false_matching_loss_grad(x, x_star, cfg)
-        h = 1e-7
-        fd = np.zeros_like(x)
-        for idx in np.ndindex(x.shape):
-            up, down = x.copy(), x.copy()
-            up[idx] += h
-            down[idx] -= h
-            fd[idx] = (false_matching_loss(up, x_star, cfg)
-                       - false_matching_loss(down, x_star, cfg)) / (2 * h)
+        fd = central_difference(lambda a: false_matching_loss(a, x_star, cfg), x, 1e-7)
         assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
 
     def test_tape_gradient_agrees_with_closed_form(self):
         cfg = LossConfig()
-        x = random_ds(21, 5)
+        x = random_doubly_stochastic(np.random.default_rng(21), 5)
         x_star = random_perm_matrix(22, 5)
         v = ad.Var(x)
         false_matching_loss(v, x_star, cfg).backward()
@@ -125,18 +112,11 @@ class TestCrossEntropyLoss:
 
     def test_tape_gradient_matches_fd(self):
         cfg = LossConfig()
-        x = random_ds(31, 5)
+        x = random_doubly_stochastic(np.random.default_rng(31), 5)
         x_star = random_perm_matrix(32, 5)
         v = ad.Var(x)
         cross_entropy_loss(v, x_star, cfg).backward()
-        h = 1e-7
-        fd = np.zeros_like(x)
-        for idx in np.ndindex(x.shape):
-            up, down = x.copy(), x.copy()
-            up[idx] += h
-            down[idx] -= h
-            fd[idx] = (cross_entropy_loss(up, x_star, cfg)
-                       - cross_entropy_loss(down, x_star, cfg)) / (2 * h)
+        fd = central_difference(lambda a: cross_entropy_loss(a, x_star, cfg), x, 1e-7)
         assert np.linalg.norm(v.grad - fd) / np.linalg.norm(fd) < 1e-5
 
 

@@ -1,6 +1,5 @@
 """Sinkhorn and Hungarian against closed forms and brute-force oracles."""
 
-import itertools
 import re
 import tracemalloc
 import warnings
@@ -10,23 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (floyd_warshall_hungarian, lexicographic_hungarian, sinkhorn_rounds,
-                     unrolled_sinkhorn)
+from oracles import (brute_force_assignment, floyd_warshall_hungarian, lexicographic_hungarian,
+                     sinkhorn_rounds, unrolled_sinkhorn)
 from quadmatch import autodiff as ad
 from quadmatch import projections
 from quadmatch.errors import InvalidInputError
 from quadmatch.projections import SINKHORN_MAX_ITER, hungarian, sinkhorn
-
-
-def brute_force_assignment(score):
-    """Exhaustive search over all permutations; returns (value, permutation)."""
-    n = score.shape[0]
-    best_val, best_perm = -np.inf, None
-    for perm in itertools.permutations(range(n)):
-        val = sum(score[i, j] for i, j in enumerate(perm))
-        if val > best_val:
-            best_val, best_perm = val, perm
-    return best_val, best_perm
 
 
 def positive_matrix(rng, n):

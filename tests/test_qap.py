@@ -1,6 +1,5 @@
 """Objective, analytic gradient, and the two Frank-Wolfe solver modes."""
 
-import itertools
 import warnings
 from dataclasses import replace
 
@@ -10,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import quadratic_assignment
 
-from oracles import assert_trace_extends, brute_force_qap, stepwise_frank_wolfe_infer
+from oracles import (assert_trace_extends, brute_force_assignment, brute_force_qap,
+                     central_difference, naive_objective, random_doubly_stochastic,
+                     random_instance, random_symmetric_hollow, stepwise_frank_wolfe_infer)
 from quadmatch import autodiff as ad
 from quadmatch import qap
 from quadmatch.errors import InvalidInputError
@@ -21,56 +22,9 @@ from quadmatch.refine import forward, init_parameters
 from quadmatch.synth import ambiguous_config, gen_dataset
 
 
-def random_instance(rng, n, unary_scale=1.0):
-    a = rng.normal(size=(n, n))
-    a = (a + a.T) / 2
-    np.fill_diagonal(a, 0.0)
-    b = rng.normal(size=(n, n))
-    b = (b + b.T) / 2
-    np.fill_diagonal(b, 0.0)
-    x_u = rng.uniform(0.1, 1.0, size=(n, n)) * unary_scale
-    return QapInstance(a, b, x_u)
-
-
-def naive_objective(x, inst):
-    """Elementwise recomputation of the Frobenius expansion."""
-    n = inst.n
-    a, b, u = inst.a_d, inst.b_d, inst.x_u
-    xbx = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0
-            for k in range(n):
-                for l in range(n):
-                    acc += x[i, k] * b[k, l] * x[j, l]
-            xbx[i, j] = acc
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            total += (a[i, j] - xbx[i, j]) ** 2
-            total -= u[i, j] * x[i, j]
-    return total
-
-
-def fd_objective_gradient(x, inst, h=1e-6):
-    g = np.zeros_like(x)
-    for idx in np.ndindex(x.shape):
-        up, down = x.copy(), x.copy()
-        up[idx] += h
-        down[idx] -= h
-        g[idx] = (objective(up, inst) - objective(down, inst)) / (2 * h)
-    return g
-
-
-def random_doubly_stochastic(rng, n):
-    return ad.value(sinkhorn(np.log(rng.uniform(0.1, 1.0, size=(n, n)))).matrix)
-
-
 class TestObjective:
     def test_perfect_alignment(self, rng):
-        a = rng.normal(size=(2, 2))
-        a = (a + a.T) / 2
-        np.fill_diagonal(a, 0.0)
+        a = random_symmetric_hollow(rng, 2)
         inst = QapInstance(a, a, np.eye(2))
         assert np.isclose(objective(np.eye(2), inst), -2.0)
 
@@ -106,9 +60,7 @@ class TestObjective:
 
 class TestObjectiveGradient:
     def test_residual_vanishes(self, rng):
-        a = rng.normal(size=(3, 3))
-        a = (a + a.T) / 2
-        np.fill_diagonal(a, 0.0)
+        a = random_symmetric_hollow(rng, 3)
         x_u = rng.uniform(size=(3, 3))
         inst = QapInstance(a, a, x_u)
         np.testing.assert_allclose(objective_gradient(np.eye(3), inst), -x_u, atol=1e-12)
@@ -123,7 +75,7 @@ class TestObjectiveGradient:
         inst = random_instance(rng, 6)
         x = rng.uniform(size=(6, 6))
         g = objective_gradient(x, inst)
-        g_fd = fd_objective_gradient(x, inst)
+        g_fd = central_difference(lambda a: objective(a, inst), x, 1e-6)
         assert np.linalg.norm(g - g_fd) / np.linalg.norm(g_fd) < 1e-5
 
     @given(seed=st.integers(0, 500), n=st.integers(3, 8))
@@ -132,7 +84,7 @@ class TestObjectiveGradient:
         inst = random_instance(rng, n)
         x = rng.uniform(size=(n, n))
         g = objective_gradient(x, inst)
-        g_fd = fd_objective_gradient(x, inst)
+        g_fd = central_difference(lambda a: objective(a, inst), x, 1e-6)
         assert np.linalg.norm(g - g_fd) / np.linalg.norm(g_fd) < 1e-5
 
 
@@ -165,8 +117,7 @@ class TestDirection:
         x = random_doubly_stochastic(rng, n)
         g = objective_gradient(x, inst)
         s = hungarian(-g)
-        best = min(np.sum(g * np.eye(n)[list(p)])
-                   for p in itertools.permutations(range(n)))
+        best = -brute_force_assignment(-g)[0]
         assert np.isclose(float(np.sum(g * s)), best)
 
     def test_training_direction_doubly_stochastic(self, rng):
@@ -220,9 +171,7 @@ class TestFrankWolfeTrain:
         # aligned pair with a concentrated unary: pursuit recovers the permutation
         n = 6
         perm = np.eye(n)[rng.permutation(n)]
-        a = rng.normal(size=(n, n))
-        a = (a + a.T) / 2
-        np.fill_diagonal(a, 0.0)
+        a = random_symmetric_hollow(rng, n)
         b = perm.T @ a @ perm
         x_u = 5.0 * perm + 0.1
         inst = QapInstance(a, b, x_u)
